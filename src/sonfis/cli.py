@@ -21,7 +21,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import dataset as ds_mod
 from . import dynamics, sweep as sweep_mod
 from .dataset import Dataset, DatasetError, SplitSpec, gen_synthetic, load_csv, min_max_normalize, split
 from .dynamics import LoopConfig, NoiseParams
@@ -246,7 +245,7 @@ def _cmd_sweep(args) -> int:
                         "gamma": cell.gamma,
                         "extra": cell.extra,
                         "repeat": rep,
-                        "points": [[p.t, p.N, p.dims[0], p.dims[1], p.live_granules, p.E, p.extra] for p in traj.points],
+                        "points": [p.row() for p in traj.points],
                     }
                 )
         Path(args.trajectories).write_text(json.dumps(doc))

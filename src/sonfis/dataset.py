@@ -22,12 +22,6 @@ class DatasetError(ValueError):
 
 
 @dataclass(frozen=True)
-class Record:
-    inputs: tuple[float, ...]
-    output: float
-
-
-@dataclass(frozen=True)
 class SplitSpec:
     n_train: int
     n_test: int
@@ -71,10 +65,6 @@ class Dataset:
     @property
     def decision_name(self) -> str:
         return self.attribute_names[-1]
-
-    @property
-    def records(self) -> list[Record]:
-        return [Record(tuple(row), float(t)) for row, t in zip(self.X, self.y)]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

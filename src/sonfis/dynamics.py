@@ -71,12 +71,17 @@ class TrajectoryPoint:
     E: float
     extra: int  # rule count (SONFIS) or bin count (SORST-AS) used at t
 
+    def row(self) -> list:
+        """The point in `Trajectory.CSV_HEADER` order."""
+        return [self.t, self.N, self.dims[0], self.dims[1], self.live_granules, self.E, self.extra]
+
 
 @dataclass
 class Trajectory:
     points: list[TrajectoryPoint]
     config: LoopConfig
     params: NoiseParams
+    final_model: object = field(default=None, compare=False)  # last fitted second layer
 
     def __len__(self) -> int:
         return len(self.points)
@@ -87,8 +92,7 @@ class Trajectory:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(self.CSV_HEADER)
-            for p in self.points:
-                w.writerow([p.t, p.N, p.dims[0], p.dims[1], p.live_granules, repr(p.E), p.extra])
+            w.writerows(p.row() for p in self.points)
 
     def N_series(self) -> np.ndarray:
         return np.array([p.N for p in self.points], dtype=np.float64)
@@ -129,36 +133,50 @@ def _iter_seed(master: int, t: int, stream: int = 0) -> int:
     return int(np.random.SeedSequence([master, stream, t]).generate_state(1)[0])
 
 
-def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
-               error_fn=None) -> Trajectory:
-    """Close-open loop with the fuzzy second layer. `error_fn(t, granules)`
-    is a test hook replacing the second layer (e.g. a constant-error stub).
-    Returns the trajectory; the final rule base is attached as
-    `trajectory.final_model` (None when the hook is active)."""
+def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
+              extras: list[int], fit_eval, error_fn) -> Trajectory:
+    """The close-open loop both systems share. Step t granulates `train`
+    with a SOM of N_t neurons, measures E_t and applies the update law.
+    `fit_eval(granules, extras[t - 1], seed)` fits the second layer and
+    returns (E_t, model), or None when the granules are degenerate; E_t is
+    then carried forward from t - 1 (the std of the test decisions at t = 1).
+    `error_fn(t, granules)`, when given, replaces the second layer."""
     points: list[TrajectoryPoint] = []
     N = cfg.initial_N
-    prev_E: float | None = None
     final_model = None
-    for t in range(1, cfg.iterations + 1):
+    for t, extra in enumerate(extras, start=1):
         dims = grid_dims(N)
         params = replace(cfg.som_params, seed=_iter_seed(cfg.seed, t))
         grid = train_som(train, dims, params)
         granules = extract_granules(grid, train)
         if error_fn is not None:
             E = float(error_fn(t, granules))
-        elif len(granules) < cfg.n_rules:
-            E = prev_E if prev_E is not None else float(np.std(test.y))
         else:
-            fis = nfis.init_rulebase(granules, cfg.n_rules, seed=_iter_seed(cfg.seed, t, stream=1))
-            fis = nfis.train_hybrid(fis, granules, cfg.nfis_params)
-            E = nfis.rmse(fis, test)
-            final_model = fis
-        points.append(TrajectoryPoint(t, N, dims, len(granules), E, cfg.n_rules))
-        prev_E = E
+            fitted = fit_eval(granules, extra, _iter_seed(cfg.seed, t, stream=1))
+            if fitted is not None:
+                E, final_model = fitted
+            elif t == 1:
+                E = float(np.std(test.y))
+            # otherwise E carries forward from t - 1
+        points.append(TrajectoryPoint(t, N, dims, len(granules), E, extra))
         N = update_neuron_count(N, E, p, cfg.n_min, cfg.n_max)
-    traj = Trajectory(points, cfg, p)
-    traj.final_model = final_model
-    return traj
+    return Trajectory(points, cfg, p, final_model)
+
+
+def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
+               error_fn=None) -> Trajectory:
+    """Close-open loop with the fuzzy second layer. `error_fn(t, granules)`
+    is a test hook replacing the second layer (e.g. a constant-error stub).
+    Returns the trajectory; the final rule base is `trajectory.final_model`
+    (None when the hook is active)."""
+    def fit_eval(granules, n_rules, seed):
+        if len(granules) < n_rules:
+            return None
+        fis = nfis.init_rulebase(granules, n_rules, seed=seed)
+        fis = nfis.train_hybrid(fis, granules, cfg.nfis_params)
+        return nfis.rmse(fis, test), fis
+
+    return _run_loop(train, test, cfg, p, [cfg.n_rules] * cfg.iterations, fit_eval, error_fn)
 
 
 def run_sorst_as(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
@@ -173,36 +191,17 @@ def run_sorst_as(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
         schedule = [int(b) for b in bin_schedule]
         if len(schedule) != cfg.iterations:
             raise ValueError(f"bin_schedule length {len(schedule)} != iterations {cfg.iterations}")
-    points: list[TrajectoryPoint] = []
-    N = cfg.initial_N
-    prev_E: float | None = None
-    final_model = None
-    for t, bins_t in zip(range(1, cfg.iterations + 1), schedule):
-        dims = grid_dims(N)
-        params = replace(cfg.som_params, seed=_iter_seed(cfg.seed, t))
-        grid = train_som(train, dims, params)
-        granules = extract_granules(grid, train)
-        if error_fn is not None:
-            E = float(error_fn(t, granules))
-        else:
-            gran_ds = None
-            try:
-                gran_ds = Dataset(granules.inputs, granules.decisions, list(train.attribute_names))
-                scaling = rst.fit_scaling(gran_ds, bins_t, seed=_iter_seed(cfg.seed, t, stream=1))
-                table = rst.apply_scaling(scaling, gran_ds)
-                rules = rst.induce_rules(table, scaling)
-                E = rst.mse(rules, test)
-                final_model = rules
-            except rst.ScalingError:
-                # Degenerate granules (constant attribute or collapsed
-                # codebook): carry the previous error forward.
-                E = prev_E if prev_E is not None else float(np.std(test.y))
-        points.append(TrajectoryPoint(t, N, dims, len(granules), E, bins_t))
-        prev_E = E
-        N = update_neuron_count(N, E, p, cfg.n_min, cfg.n_max)
-    traj = Trajectory(points, cfg, p)
-    traj.final_model = final_model
-    return traj
+
+    def fit_eval(granules, bins, seed):
+        gran_ds = Dataset(granules.inputs, granules.decisions, list(train.attribute_names))
+        try:
+            scaling = rst.fit_scaling(gran_ds, bins, seed=seed)
+        except rst.ScalingError:  # constant attribute or collapsed codebook
+            return None
+        rules = rst.induce_rules(rst.apply_scaling(scaling, gran_ds), scaling)
+        return rst.mse(rules, test), rules
+
+    return _run_loop(train, test, cfg, p, schedule, fit_eval, error_fn)
 
 
 def order_metrics(traj: Trajectory, burn_in: int = 0,
@@ -228,13 +227,8 @@ def order_metrics(traj: Trajectory, burn_in: int = 0,
 def trajectory_report(traj: Trajectory) -> str:
     """JSON run report: config echo, noise parameters, order metrics, and
     the final second-layer model when one was fitted."""
-    model = getattr(traj, "final_model", None)
-    if model is None:
-        model_doc = None
-    elif isinstance(model, nfis.FuzzyRuleBase):
-        model_doc = json.loads(model.to_json())
-    else:
-        model_doc = json.loads(model.to_json())
+    model = traj.final_model
+    model_doc = None if model is None else json.loads(model.to_json())
     cfg = traj.config
     doc = {
         "config": {
@@ -258,17 +252,6 @@ def trajectory_report(traj: Trajectory) -> str:
         "noise": {"alpha": traj.params.alpha, "beta": traj.params.beta, "gamma": traj.params.gamma},
         "order_metrics": order_metrics(traj).as_dict(),
         "final_model": model_doc,
-        "points": [
-            {
-                "t": pt.t,
-                "N": pt.N,
-                "n1": pt.dims[0],
-                "n2": pt.dims[1],
-                "live_granules": pt.live_granules,
-                "E": pt.E,
-                "extra": pt.extra,
-            }
-            for pt in traj.points
-        ],
+        "points": [dict(zip(Trajectory.CSV_HEADER, pt.row())) for pt in traj.points],
     }
     return json.dumps(doc, indent=2)

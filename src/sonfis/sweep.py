@@ -114,58 +114,28 @@ def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
     return SweepResult(spec, cells)
 
 
+def result_rows(result: SweepResult) -> list[dict]:
+    """One row per (cell, repeat) that ran, keyed by `CSV_HEADER`: the rows
+    `export_csv` writes."""
+    return [
+        dict(zip(CSV_HEADER, (cell.alpha, cell.beta, cell.gamma, cell.extra, rep,
+                              m.mean_NG, m.std_NG, m.mean_E, m.regime)))
+        for cell in result.cells
+        for rep, m in enumerate(cell.metrics)
+    ]
+
+
 def transition_profile(result: SweepResult, axis: str) -> dict:
-    """Marginal mean_NG / std_NG along one swept parameter, plus the axis
-    value with the largest increase in std_NG between consecutive grid
-    points (the transition locus). The locus is flagged weak when the jump
-    is under 10% of the mean std."""
-    key = {"alpha": "alphas", "beta": "betas", "gamma": "gammas", "extra": "extras"}.get(axis)
-    if key is None:
-        raise ValueError(f"unknown axis {axis!r}")
-    values = list(getattr(result.spec, key))
-    by_value: dict[float, list[OrderMetrics]] = {v: [] for v in values}
-    for cell in result.cells:
-        if cell.error is not None:
-            continue
-        by_value[getattr(cell, axis)].extend(cell.metrics)
-    profile = []
-    for v in values:
-        ms = by_value[v]
-        ngs = np.array([m.mean_NG for m in ms]) if ms else np.array([np.nan])
-        stds = np.array([m.std_NG for m in ms]) if ms else np.array([np.nan])
-        profile.append({"value": v, "mean_NG": float(ngs.mean()), "std_NG": float(stds.mean())})
-    stds = np.array([row["std_NG"] for row in profile])
-    if len(stds) > 1:
-        jumps = np.diff(stds)
-        j = int(np.argmax(jumps))
-        locus = values[j + 1]
-        mean_std = float(np.nanmean(stds))
-        weak = bool(jumps[j] < 0.1 * mean_std)
-    else:
-        locus, weak = values[0], True
-    return {"axis": axis, "profile": profile, "transition_locus": locus, "weak": weak}
+    """`profile_from_rows` over the rows of an in-memory sweep result."""
+    return profile_from_rows(result_rows(result), axis)
 
 
 def export_csv(result: SweepResult, path) -> None:
     """Long format: one row per (cell, repeat)."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for cell in result.cells:
-            for rep, m in enumerate(cell.metrics):
-                w.writerow(
-                    [
-                        repr(cell.alpha),
-                        repr(cell.beta),
-                        repr(cell.gamma),
-                        cell.extra,
-                        rep,
-                        repr(m.mean_NG),
-                        repr(m.std_NG),
-                        repr(m.mean_E),
-                        m.regime,
-                    ]
-                )
+        w = csv.DictWriter(fh, CSV_HEADER)
+        w.writeheader()
+        w.writerows(result_rows(result))
 
 
 def load_csv_rows(path) -> list[dict]:
@@ -193,9 +163,15 @@ def load_csv_rows(path) -> list[dict]:
 
 
 def profile_from_rows(rows: list[dict], axis: str) -> dict:
-    """Recompute a transition profile from exported CSV rows."""
+    """Marginal mean_NG / std_NG along one swept parameter, over the axis
+    values present in `rows` in ascending order (a failed repeat has no row),
+    plus the value with the largest increase in std_NG from the value before
+    it (the transition locus). The locus is flagged weak when the jump is
+    under 10% of the mean std."""
     if axis not in ("alpha", "beta", "gamma", "extra"):
         raise ValueError(f"unknown axis {axis!r}")
+    if not rows:
+        raise ValueError("no sweep rows to profile")
     values = sorted({row[axis] for row in rows})
     profile = []
     for v in values:
@@ -212,7 +188,7 @@ def profile_from_rows(rows: list[dict], axis: str) -> dict:
         jumps = np.diff(stds)
         j = int(np.argmax(jumps))
         locus = values[j + 1]
-        weak = bool(jumps[j] < 0.1 * float(np.nanmean(stds)))
+        weak = bool(jumps[j] < 0.1 * float(stds.mean()))
     else:
         locus, weak = values[0], True
     return {"axis": axis, "profile": profile, "transition_locus": locus, "weak": weak}

@@ -83,14 +83,42 @@ class TestRunSonfis:
         traj = run_sonfis(train, test, cfg, p, error_fn=lambda t, g: 10.0)
         assert [pt.N for pt in traj.points] == direct_iteration(100, 10.0, p, 2, 400, 25)
 
-    def test_degenerate_guard_carries_error(self, small_data):
-        # more rules than any granule set can supply: E stays at the
-        # worst-case std of the test decisions throughout
+    @pytest.mark.parametrize("system", ["sonfis", "sorst"])
+    def test_degenerate_guard_carries_error(self, small_data, system):
+        # SONFIS: more rules than any granule set can supply. SORST-AS: 8
+        # bins from 4 granules, so every scaling fit raises ScalingError.
+        # Either way E stays at the worst-case std of the test decisions.
         train, test = small_data
-        cfg = LoopConfig(iterations=3, initial_N=4, n_rules=50, seed=2, som_params=SomParams(epochs=2))
-        traj = run_sonfis(train, test, cfg, NoiseParams(0.9, 0.001, 0.5))
+        som = SomParams(epochs=2)
+        p = NoiseParams(0.9, 0.001, 0.5)
+        if system == "sonfis":
+            cfg = LoopConfig(iterations=3, initial_N=4, n_rules=50, seed=2, som_params=som)
+            traj = run_sonfis(train, test, cfg, p)
+        else:
+            cfg = LoopConfig(iterations=3, initial_N=4, n_min=4, n_max=4, bins=8, seed=2, som_params=som)
+            traj = run_sorst_as(train, test, cfg, p, cfg.bins)
         expected = float(np.std(test.y))
         assert all(pt.E == expected for pt in traj.points)
+        assert traj.final_model is None
+
+
+def test_systems_share_granulation(small_data):
+    # same config and stub: only the second layer differs between the two
+    # systems, so the granulation and the update law see identical inputs
+    train, test = small_data
+    cfg = LoopConfig(iterations=8, initial_N=30, n_min=2, seed=4, som_params=SomParams(epochs=2))
+    p = NoiseParams(0.8, 0.5, 1.0)
+
+    def stub(t, granules):
+        return float(len(granules))
+
+    def series(traj):
+        return [(pt.t, pt.N, pt.dims, pt.live_granules, pt.E) for pt in traj.points]
+
+    a = run_sonfis(train, test, cfg, p, error_fn=stub)
+    b = run_sorst_as(train, test, cfg, p, cfg.bins, error_fn=stub)
+    assert series(a) == series(b)
+    assert len({pt.N for pt in a.points}) > 1
 
 
 class TestRunSorstAs:

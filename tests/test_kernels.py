@@ -1,9 +1,15 @@
 """Both kernel backends against a literal reference loop."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import sonfis
 
 BACKENDS = []
 BACKENDS.append(importlib.import_module("sonfis._somcore_py"))
@@ -60,3 +66,25 @@ def test_backends_agree():
     a = BACKENDS[0].assign_bmus(data, protos)
     b = BACKENDS[1].assign_bmus(data, protos)
     assert np.array_equal(a, b)
+
+
+def import_kernels(backend):
+    """Import sonfis.kernels in a fresh interpreter with SONFIS_BACKEND set."""
+    src = str(Path(sonfis.__file__).resolve().parents[1])
+    env = dict(os.environ, SONFIS_BACKEND=backend, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", "import sonfis.kernels as k; print(k.BACKEND)"],
+                          env=env, capture_output=True, text=True)
+
+
+def test_numpy_backend_forced():
+    proc = import_kernels("numpy")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "numpy"
+
+
+@pytest.mark.parametrize("value", ["numpyy", "python"])
+def test_unknown_backend_rejected(value):
+    proc = import_kernels(value)
+    assert proc.returncode != 0
+    assert "ImportError" in proc.stderr
+    assert f"'cython', 'numpy' or unset, got {value!r}" in proc.stderr

@@ -82,6 +82,10 @@ class TestTransitionProfile:
         with pytest.raises(ValueError, match="unknown axis"):
             transition_profile(result, "delta")
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="no sweep rows"):
+            profile_from_rows([], "alpha")
+
     def test_synthetic_std_profile(self):
         # std = (1, 1, 5, 5) over the grid: locus at the 2nd -> 3rd gap
         from sonfis.dynamics import OrderMetrics
@@ -110,6 +114,40 @@ class TestTransitionProfile:
         profile = transition_profile(SweepResult(spec, cells), "alpha")
         assert profile["weak"]
 
+    def test_failed_cell_is_not_the_locus(self):
+        # std = (1, failed, 1.1, 5): the failed cell is left out, and the
+        # locus is the 1.1 -> 5 jump
+        from sonfis.dynamics import OrderMetrics
+        from sonfis.sweep import CellResult, SweepResult
+
+        cfg = LoopConfig(seed=0)
+        spec = SweepSpec((0.1, 0.2, 0.3, 0.4), (0.0,), (0.5,), (2,), 1, cfg)
+        cells = [
+            CellResult(a, 0.0, 0.5, 2, [OrderMetrics(10.0, s, 1, 20, 0.1, "transition")])
+            for a, s in ((0.1, 1.0), (0.3, 1.1), (0.4, 5.0))
+        ]
+        cells.insert(1, CellResult(0.2, 0.0, 0.5, 2, [], error="RuntimeError: boom"))
+        profile = transition_profile(SweepResult(spec, cells), "alpha")
+        assert [row["value"] for row in profile["profile"]] == [0.1, 0.3, 0.4]
+        assert profile["transition_locus"] == 0.4
+        assert not profile["weak"]
+
+    def test_unsorted_axis_profiled_ascending(self):
+        # spec order (0.3, 0.1, 0.2) with std (5, 1, 1): consecutive means
+        # ascending, so the locus is the 0.2 -> 0.3 jump
+        from sonfis.dynamics import OrderMetrics
+        from sonfis.sweep import CellResult, SweepResult
+
+        cfg = LoopConfig(seed=0)
+        spec = SweepSpec((0.3, 0.1, 0.2), (0.0,), (0.5,), (2,), 1, cfg)
+        cells = [
+            CellResult(a, 0.0, 0.5, 2, [OrderMetrics(10.0, s, 1, 20, 0.1, "transition")])
+            for a, s in zip(spec.alphas, (5.0, 1.0, 1.0))
+        ]
+        profile = transition_profile(SweepResult(spec, cells), "alpha")
+        assert [row["value"] for row in profile["profile"]] == [0.1, 0.2, 0.3]
+        assert profile["transition_locus"] == 0.3
+
 
 class TestExportCsv:
     def test_row_count_and_header(self, tiny_data, tmp_path):
@@ -129,13 +167,7 @@ class TestExportCsv:
         path = tmp_path / "sweep.csv"
         export_csv(result, path)
         rows = load_csv_rows(path)
-        from_csv = profile_from_rows(rows, "alpha")
-        in_memory = transition_profile(result, "alpha")
-        for a, b in zip(from_csv["profile"], in_memory["profile"]):
-            assert a["value"] == b["value"]
-            assert abs(a["mean_NG"] - b["mean_NG"]) < 1e-9
-            assert abs(a["std_NG"] - b["std_NG"]) < 1e-9
-        assert from_csv["transition_locus"] == in_memory["transition_locus"]
+        assert profile_from_rows(rows, "alpha") == transition_profile(result, "alpha")
 
 
 class TestSpecValidation:
