@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,25 +54,44 @@ class RunConfig:
     noise: NoiseParams
     loop: LoopConfig
     bin_schedule: list[int] | int
-    sweep_spec: dict | None
+    sweep: sweep_mod.SweepSpec
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
+def _check_keys(obj, allowed: set[str], path: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {obj!r}")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
-def _num(obj: dict, key: str, default, path: str, kind=float, minimum=None):
-    val = obj.get(key, default)
+def _number(val, where: str, kind=float, minimum=None):
+    """`val` as a finite `kind` that is at least `minimum`. JSON booleans
+    are not numbers here, and Python's json parser reads `Infinity` and
+    `NaN` as floats."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
+        raise ConfigError(f"{where}: expected a number, got {val!r}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{where}: expected a finite number, got {val!r}")
     if kind is int and int(val) != val:
-        raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
+        raise ConfigError(f"{where}: expected an integer, got {val!r}")
     val = kind(val)
     if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {val}")
+        raise ConfigError(f"{where}: must be >= {minimum}, got {val}")
     return val
+
+
+def _num(obj: dict, key: str, default, path: str, kind=float, minimum=None):
+    return _number(obj.get(key, default), f"{path}.{key}", kind, minimum)
+
+
+def _build(path: str, cls, **kwargs):
+    """`cls(**kwargs)`, with the ValueError its own checks raise reported as
+    a config error at `path`."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:
@@ -84,8 +104,6 @@ def load_config(path) -> RunConfig:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("$: config must be a JSON object")
     _check_keys(
         doc,
         {
@@ -103,6 +121,9 @@ def load_config(path) -> RunConfig:
     if "csv" in src:
         if "decision_column" not in src:
             raise ConfigError("$.dataset.decision_column: required with 'csv'")
+        for key in ("csv", "decision_column"):
+            if not isinstance(src[key], str):
+                raise ConfigError(f"$.dataset.{key}: expected a string, got {src[key]!r}")
     elif "synthetic" in src:
         syn = src["synthetic"]
         _check_keys(syn, {"n", "noise_sd", "seed"}, "$.dataset.synthetic")
@@ -121,17 +142,22 @@ def load_config(path) -> RunConfig:
         shuffle_seed = _num(sp, "shuffle_seed", None, "$.split", int)
     split_spec = SplitSpec(n_train, n_test, shuffle_seed)
 
-    alpha = _num(doc, "alpha", CONFIG_DEFAULTS["alpha"], "$", float, 0.0)
-    beta = _num(doc, "beta", CONFIG_DEFAULTS["beta"], "$", float, 0.0)
-    gamma = _num(doc, "gamma", CONFIG_DEFAULTS["gamma"], "$", float)
-    noise = NoiseParams(alpha, beta, gamma)
+    noise = _build(
+        "$",
+        NoiseParams,
+        alpha=_num(doc, "alpha", CONFIG_DEFAULTS["alpha"], "$", float, 0.0),
+        beta=_num(doc, "beta", CONFIG_DEFAULTS["beta"], "$", float, 0.0),
+        gamma=_num(doc, "gamma", CONFIG_DEFAULTS["gamma"], "$", float),
+    )
 
     som_doc = doc.get("som", {})
     _check_keys(som_doc, {"epochs", "initial_radius", "final_radius"}, "$.som")
     initial_radius = som_doc.get("initial_radius")
     if initial_radius is not None:
         initial_radius = _num(som_doc, "initial_radius", None, "$.som", float, 0.0)
-    som_params = SomParams(
+    som_params = _build(
+        "$.som",
+        SomParams,
         epochs=_num(som_doc, "epochs", 10, "$.som", int, 1),
         initial_radius=initial_radius,
         final_radius=_num(som_doc, "final_radius", 0.5, "$.som", float),
@@ -139,46 +165,77 @@ def load_config(path) -> RunConfig:
 
     nfis_doc = doc.get("nfis", {})
     _check_keys(nfis_doc, {"epochs", "premise_learning_rate"}, "$.nfis")
-    nfis_params = NfisTrainParams(
+    nfis_params = _build(
+        "$.nfis",
+        NfisTrainParams,
         epochs=_num(nfis_doc, "epochs", 10, "$.nfis", int, 1),
         premise_learning_rate=_num(nfis_doc, "premise_learning_rate", 0.05, "$.nfis", float),
     )
 
-    try:
-        loop = LoopConfig(
-            iterations=_num(doc, "iterations", CONFIG_DEFAULTS["iterations"], "$", int, 1),
-            n_rules=_num(doc, "n_rules", CONFIG_DEFAULTS["n_rules"], "$", int, 1),
-            bins=_num(doc, "bins", CONFIG_DEFAULTS["bins"], "$", int, 2),
-            n_min=_num(doc, "n_min", CONFIG_DEFAULTS["n_min"], "$", int, 2),
-            n_max=_num(doc, "n_max", CONFIG_DEFAULTS["n_max"], "$", int, 2),
-            initial_N=_num(doc, "initial_N", CONFIG_DEFAULTS["initial_N"], "$", int, 1),
-            som_params=som_params,
-            nfis_params=nfis_params,
-            seed=_num(doc, "seed", CONFIG_DEFAULTS["seed"], "$", int),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"$: {exc}") from exc
+    loop = _build(
+        "$",
+        LoopConfig,
+        iterations=_num(doc, "iterations", CONFIG_DEFAULTS["iterations"], "$", int, 1),
+        n_rules=_num(doc, "n_rules", CONFIG_DEFAULTS["n_rules"], "$", int, 1),
+        bins=_num(doc, "bins", CONFIG_DEFAULTS["bins"], "$", int, 2),
+        n_min=_num(doc, "n_min", CONFIG_DEFAULTS["n_min"], "$", int, 2),
+        n_max=_num(doc, "n_max", CONFIG_DEFAULTS["n_max"], "$", int, 2),
+        initial_N=_num(doc, "initial_N", CONFIG_DEFAULTS["initial_N"], "$", int, 1),
+        som_params=som_params,
+        nfis_params=nfis_params,
+        seed=_num(doc, "seed", CONFIG_DEFAULTS["seed"], "$", int),
+    )
 
     bin_schedule = doc.get("bin_schedule", loop.bins)
     if isinstance(bin_schedule, list):
-        if not all(isinstance(b, int) and b >= 2 for b in bin_schedule):
-            raise ConfigError("$.bin_schedule: must be a list of integers >= 2")
-    elif not isinstance(bin_schedule, int):
-        raise ConfigError("$.bin_schedule: must be an integer or a list of integers")
+        if len(bin_schedule) != loop.iterations:
+            raise ConfigError(f"$.bin_schedule: a list needs one bin count per iteration "
+                              f"({loop.iterations}), got {len(bin_schedule)}")
+        bin_schedule = [_number(b, f"$.bin_schedule[{i}]", int, 2) for i, b in enumerate(bin_schedule)]
+    else:
+        bin_schedule = _number(bin_schedule, "$.bin_schedule", int, 2)
 
     sweep_doc = doc.get("sweep")
-    if sweep_doc is not None:
-        _check_keys(
-            sweep_doc,
-            {"alphas", "betas", "gammas", "extras", "repeats", "system", "burn_in"},
-            "$.sweep",
-        )
-        for key in ("alphas", "betas", "gammas", "extras"):
-            vals = sweep_doc.get(key)
-            if vals is not None and (not isinstance(vals, list) or not vals):
-                raise ConfigError(f"$.sweep.{key}: must be a non-empty list")
+    if sweep_doc is None:
+        sweep_doc = {}
+    _check_keys(
+        sweep_doc,
+        {"alphas", "betas", "gammas", "extras", "repeats", "system", "burn_in"},
+        "$.sweep",
+    )
+    system = sweep_doc.get("system", "sonfis")
+    if system not in ("sonfis", "sorst"):
+        raise ConfigError(f"$.sweep.system: must be 'sonfis' or 'sorst', got {system!r}")
+    # extras are rule counts (sonfis) or bin counts (sorst).
+    axes = {
+        "alphas": (noise.alpha, float, 0.0),
+        "betas": (noise.beta, float, 0.0),
+        "gammas": (noise.gamma, float, None),
+        "extras": (loop.n_rules, int, 1) if system == "sonfis" else (loop.bins, int, 2),
+    }
+    grid = {}
+    for key, (default, kind, minimum) in axes.items():
+        vals = sweep_doc.get(key, [default])
+        if not isinstance(vals, list) or not vals:
+            raise ConfigError(f"$.sweep.{key}: must be a non-empty list")
+        checked = [_number(v, f"$.sweep.{key}[{i}]", kind, minimum) for i, v in enumerate(vals)]
+        # Parameter values keep their JSON form, so an integer alpha is
+        # written to sweep.csv as `1`, not `1.0`.
+        grid[key] = tuple(checked if kind is int else vals)
+    burn_in = _num(sweep_doc, "burn_in", 0, "$.sweep", int, 0)
+    if burn_in >= loop.iterations:
+        raise ConfigError(f"$.sweep.burn_in: must be < iterations ({loop.iterations}), got {burn_in}")
+    sweep_spec = _build(
+        "$.sweep",
+        sweep_mod.SweepSpec,
+        **grid,
+        repeats=_num(sweep_doc, "repeats", 1, "$.sweep", int, 1),
+        base_config=loop,
+        system=system,
+        burn_in=burn_in,
+    )
 
-    return RunConfig(src, split_spec, noise, loop, bin_schedule, sweep_doc)
+    return RunConfig(src, split_spec, noise, loop, bin_schedule, sweep_spec)
 
 
 def _prepare_data(cfg: RunConfig) -> tuple[Dataset, Dataset]:
@@ -189,21 +246,6 @@ def _prepare_data(cfg: RunConfig) -> tuple[Dataset, Dataset]:
         ds = gen_synthetic(syn.get("n", 693), syn.get("noise_sd", 0.05), syn.get("seed", 7))
     ds = min_max_normalize(ds)
     return split(ds, cfg.split_spec)
-
-
-def _build_sweep_spec(cfg: RunConfig) -> sweep_mod.SweepSpec:
-    doc = cfg.sweep_spec or {}
-    default_extra = cfg.loop.n_rules if doc.get("system", "sonfis") == "sonfis" else cfg.loop.bins
-    return sweep_mod.SweepSpec(
-        alphas=tuple(doc.get("alphas", [cfg.noise.alpha])),
-        betas=tuple(doc.get("betas", [cfg.noise.beta])),
-        gammas=tuple(doc.get("gammas", [cfg.noise.gamma])),
-        extras=tuple(doc.get("extras", [default_extra])),
-        repeats=int(doc.get("repeats", 1)),
-        base_config=cfg.loop,
-        system=doc.get("system", "sonfis"),
-        burn_in=int(doc.get("burn_in", 0)),
-    )
 
 
 def _cmd_gen_data(args) -> int:
@@ -229,8 +271,7 @@ def _cmd_run(args, system: str) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     train, test = _prepare_data(cfg)
-    spec = _build_sweep_spec(cfg)
-    result = sweep_mod.run_sweep(spec, train, test, keep_trajectories=args.trajectories is not None)
+    result = sweep_mod.run_sweep(cfg.sweep, train, test, keep_trajectories=args.trajectories is not None)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     sweep_mod.export_csv(result, outdir / "sweep.csv")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -19,6 +20,39 @@ SMALL = {
     "som": {"epochs": 3},
     "nfis": {"epochs": 3},
 }
+
+# Each config, merged over SMALL, with the subcommand that reads it and the
+# start of the error message that names the offending field.
+BAD_CONFIGS = [
+    pytest.param("run-sonfis", {"alpha": -1}, "$.alpha:", id="alpha-negative"),
+    # Values of the wrong JSON type.
+    pytest.param("sweep", {"dataset": 5}, "$.dataset:", id="dataset-not-object"),
+    pytest.param("sweep", {"dataset": {"synthetic": 5}}, "$.dataset.synthetic:", id="synthetic-not-object"),
+    pytest.param("sweep", {"dataset": {"csv": ["x.csv"], "decision_column": "q"}}, "$.dataset.csv:",
+                 id="csv-not-string"),
+    pytest.param("sweep", {"split": []}, "$.split:", id="split-not-object"),
+    pytest.param("sweep", {"som": 3}, "$.som:", id="som-not-object"),
+    pytest.param("sweep", {"sweep": 7}, "$.sweep:", id="sweep-not-object"),
+    pytest.param("sweep", {"sweep": {"alphas": ["x"]}}, "$.sweep.alphas[0]:", id="alphas-entry-not-number"),
+    pytest.param("sweep", {"sweep": {"repeats": "a"}}, "$.sweep.repeats:", id="repeats-not-number"),
+    # Values a parameter object rejects.
+    pytest.param("run-sonfis", {"alpha": math.inf}, "$.alpha:", id="alpha-infinite"),
+    pytest.param("run-sonfis", {"gamma": math.nan}, "$.gamma:", id="gamma-nan"),
+    pytest.param("sweep", {"sweep": {"alphas": [math.nan]}}, "$.sweep.alphas[0]:", id="alphas-entry-nan"),
+    pytest.param("run-sonfis", {"nfis": {"premise_learning_rate": 0}}, "$.nfis: premise_learning_rate",
+                 id="learning-rate-zero"),
+    pytest.param("run-sonfis", {"som": {"final_radius": 0}}, "$.som: final_radius", id="final-radius-zero"),
+    pytest.param("run-sonfis", {"som": {"initial_radius": 0.1}}, "$.som: initial_radius",
+                 id="initial-radius-below-final"),
+    pytest.param("sweep", {"sweep": {"system": "foo"}}, "$.sweep.system:", id="unknown-system"),
+    pytest.param("run-sorst", {"bin_schedule": [3, 3]}, "$.bin_schedule:", id="bin-schedule-length"),
+    # Values that would run with every cell failed or every step a fallback.
+    pytest.param("sweep", {"sweep": {"burn_in": 100}}, "$.sweep.burn_in:", id="burn-in-past-end"),
+    pytest.param("sweep", {"sweep": {"extras": [1.5]}}, "$.sweep.extras[0]:", id="extras-not-integer"),
+    pytest.param("run-sorst", {"bin_schedule": True}, "$.bin_schedule:", id="bin-schedule-bool"),
+    pytest.param("sweep", {"sweep": {"system": "sorst", "extras": [1]}}, "$.sweep.extras[0]:",
+                 id="sorst-one-bin"),
+]
 
 
 class TestLoadConfig:
@@ -87,10 +121,11 @@ class TestExecute:
         assert (out / "trajectory_sorst.csv").exists()
         assert (out / "report_sorst.json").exists()
 
-    def test_bad_config_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"alpha": -1})
-        assert execute(["run-sonfis", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "alpha" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, doc, where", BAD_CONFIGS)
+    def test_bad_config_exits_2(self, tmp_path, capsys, command, doc, where):
+        cfg = write_config(tmp_path, dict(SMALL, **doc))
+        assert execute([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {where}")
 
     def test_missing_csv_exits_3(self, tmp_path, capsys):
         doc = {"dataset": {"csv": str(tmp_path / "absent.csv"), "decision_column": "q"}}

@@ -1,28 +1,19 @@
-"""Both kernel backends against a literal reference loop."""
-
-import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""The SOM kernels against a literal reference loop."""
 
 import numpy as np
 import pytest
 
-import sonfis
+from sonfis import kernels
 
-BACKENDS = []
-BACKENDS.append(importlib.import_module("sonfis._somcore_py"))
-try:
-    BACKENDS.append(importlib.import_module("sonfis._somcore"))
-except ImportError:
-    pass
+# One parameter, so every test id carries the backend name that the
+# benchmark reports with its results.
+KERNELS = pytest.mark.parametrize("impl", [kernels], ids=[kernels.BACKEND])
 
 
 def ref_assign(data, protos):
-    """The compiled kernel's loop: distances summed attribute by attribute
-    from 0.0, with `diff * diff` (Python's `** 2` goes through libm pow and
-    can round differently), first strict minimum wins."""
+    """Distances summed attribute by attribute from 0.0, with `diff * diff`
+    (Python's `** 2` goes through libm pow and can round differently),
+    first strict minimum wins."""
     out = []
     for x in data:
         best, bestd = 0, float("inf")
@@ -48,7 +39,7 @@ def ref_accumulate(data, bmus, m):
     return np.array(sums), np.array(counts)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+@KERNELS
 def test_assign_matches_reference(impl):
     rng = np.random.default_rng(0)
     data = rng.random((200, 3))
@@ -56,7 +47,7 @@ def test_assign_matches_reference(impl):
     assert np.array_equal(impl.assign_bmus(data, protos), ref_assign(data, protos))
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+@KERNELS
 def test_tie_breaks_to_lowest_index(impl):
     data = np.array([[0.5, 0.5]])
     protos = np.array([[0.4, 0.5], [0.6, 0.5], [0.4, 0.5]])
@@ -64,7 +55,7 @@ def test_tie_breaks_to_lowest_index(impl):
 
 
 @pytest.mark.parametrize("d", [8, 12])
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+@KERNELS
 def test_permuted_ties_follow_sequential_order(impl, d):
     """Two prototypes whose offsets from the row are one vector and a
     permutation of it: their distances agree up to rounding, so only the
@@ -78,7 +69,7 @@ def test_permuted_ties_follow_sequential_order(impl, d):
         assert impl.assign_bmus(x[None], protos)[0] == ref_assign(x[None], protos)[0]
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+@KERNELS
 def test_accumulate(impl):
     """Exact against a record-order loop. Magnitudes span 16 decades, so
     the order matters: summing the records in reverse changes 5 of the 8
@@ -94,7 +85,7 @@ def test_accumulate(impl):
 
 
 @pytest.mark.parametrize("n, m, d", [(7, 3, 1), (3, 5, 1), (4, 9, 3)])
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+@KERNELS
 def test_shapes_and_dtypes(impl, n, m, d):
     """d = 1 is the shape `rst.fit_scaling` trains; n < m leaves neurons
     without records."""
@@ -108,35 +99,3 @@ def test_shapes_and_dtypes(impl, n, m, d):
     assert sums.dtype == np.float64 and sums.shape == (m, d)
     assert counts.dtype == np.float64 and counts.shape == (m,)
     assert counts.sum() == n
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend not built")
-def test_backends_agree():
-    rng = np.random.default_rng(2)
-    data = rng.random((300, 4))
-    protos = rng.random((25, 4))
-    a = BACKENDS[0].assign_bmus(data, protos)
-    b = BACKENDS[1].assign_bmus(data, protos)
-    assert np.array_equal(a, b)
-
-
-def import_kernels(backend):
-    """Import sonfis.kernels in a fresh interpreter with SONFIS_BACKEND set."""
-    src = str(Path(sonfis.__file__).resolve().parents[1])
-    env = dict(os.environ, SONFIS_BACKEND=backend, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", "import sonfis.kernels as k; print(k.BACKEND)"],
-                          env=env, capture_output=True, text=True)
-
-
-def test_numpy_backend_forced():
-    proc = import_kernels("numpy")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numpy"
-
-
-@pytest.mark.parametrize("value", ["numpyy", "python"])
-def test_unknown_backend_rejected(value):
-    proc = import_kernels(value)
-    assert proc.returncode != 0
-    assert "ImportError" in proc.stderr
-    assert f"'cython', 'numpy' or unset, got {value!r}" in proc.stderr
