@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from . import dynamics, sweep as sweep_mod
@@ -33,18 +33,18 @@ class ConfigError(ValueError):
     pass
 
 
-CONFIG_DEFAULTS = {
-    "alpha": 0.9,
-    "beta": 0.001,
-    "gamma": 0.5,
-    "iterations": 30,
-    "n_rules": 2,
-    "bins": 3,
-    "n_min": 4,
-    "n_max": 400,
-    "initial_N": 100,
-    "seed": 0,
-}
+# Each config section's numeric keys as {key: (kind, minimum)}. A key the
+# file leaves out takes the default of the parameter object it builds.
+NOISE_KEYS = {"alpha": (float, 0.0), "beta": (float, 0.0), "gamma": (float, None)}
+LOOP_KEYS = {"iterations": (int, 1), "n_rules": (int, 1), "bins": (int, 2), "n_min": (int, 2),
+             "n_max": (int, 2), "initial_N": (int, 1), "seed": (int, 0)}
+SPLIT_KEYS = {"n_train": (int, 1), "n_test": (int, 1), "shuffle_seed": (int, 0)}
+SOM_KEYS = {"epochs": (int, 1), "initial_radius": (float, 0.0), "final_radius": (float, None)}
+NFIS_KEYS = {"epochs": (int, 1), "premise_learning_rate": (float, None)}
+SWEEP_KEYS = {"repeats": (int, 1), "burn_in": (int, 0)}
+SYNTHETIC_KEYS = {"n": (int, 1), "noise_sd": (float, 0.0), "seed": (int, 0)}
+# `gen_synthetic`'s arguments where a config or `gen-data` leaves them out.
+SYNTHETIC_DEFAULTS = {"n": 693, "noise_sd": 0.05, "seed": 7}
 
 
 @dataclass
@@ -81,8 +81,13 @@ def _number(val, where: str, kind=float, minimum=None):
     return val
 
 
-def _num(obj: dict, key: str, default, path: str, kind=float, minimum=None):
-    return _number(obj.get(key, default), f"{path}.{key}", kind, minimum)
+def _values(obj: dict, table: dict, path: str, cls=None) -> dict:
+    """The keys of `obj` that `table` declares, each checked as its
+    `(kind, minimum)`. A null stays null where `cls` defaults the field to
+    None."""
+    nullable = {f.name for f in fields(cls) if f.default is None} if cls else ()
+    return {key: val if val is None and key in nullable else _number(val, f"{path}.{key}", *table[key])
+            for key, val in obj.items() if key in table}
 
 
 def _build(path: str, cls, **kwargs):
@@ -104,17 +109,10 @@ def load_config(path) -> RunConfig:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    _check_keys(
-        doc,
-        {
-            "dataset", "split", "alpha", "beta", "gamma", "iterations", "n_rules",
-            "bins", "bin_schedule", "n_min", "n_max", "initial_N", "seed",
-            "som", "nfis", "sweep",
-        },
-        "$",
-    )
+    _check_keys(doc, {*NOISE_KEYS, *LOOP_KEYS, "dataset", "split", "bin_schedule", "som", "nfis",
+                      "sweep"}, "$")
 
-    src = doc.get("dataset", {"synthetic": {"n": 693, "noise_sd": 0.05, "seed": 7}})
+    src = doc.get("dataset", {"synthetic": {}})
     _check_keys(src, {"csv", "decision_column", "synthetic"}, "$.dataset")
     if "csv" in src and "synthetic" in src:
         raise ConfigError("$.dataset: exactly one of 'csv' or 'synthetic' is allowed")
@@ -125,66 +123,21 @@ def load_config(path) -> RunConfig:
             if not isinstance(src[key], str):
                 raise ConfigError(f"$.dataset.{key}: expected a string, got {src[key]!r}")
     elif "synthetic" in src:
-        syn = src["synthetic"]
-        _check_keys(syn, {"n", "noise_sd", "seed"}, "$.dataset.synthetic")
-        _num(syn, "n", 693, "$.dataset.synthetic", int, 1)
-        _num(syn, "noise_sd", 0.05, "$.dataset.synthetic", float, 0.0)
-        _num(syn, "seed", 7, "$.dataset.synthetic", int)
+        _check_keys(src["synthetic"], SYNTHETIC_KEYS, "$.dataset.synthetic")
+        src = {"synthetic": {**SYNTHETIC_DEFAULTS,
+                             **_values(src["synthetic"], SYNTHETIC_KEYS, "$.dataset.synthetic")}}
     else:
         raise ConfigError("$.dataset: one of 'csv' or 'synthetic' is required")
 
-    sp = doc.get("split", {})
-    _check_keys(sp, {"n_train", "n_test", "shuffle_seed"}, "$.split")
-    n_train = _num(sp, "n_train", 600, "$.split", int, 1)
-    n_test = _num(sp, "n_test", 93, "$.split", int, 1)
-    shuffle_seed = sp.get("shuffle_seed")
-    if shuffle_seed is not None:
-        shuffle_seed = _num(sp, "shuffle_seed", None, "$.split", int)
-    split_spec = SplitSpec(n_train, n_test, shuffle_seed)
-
-    noise = _build(
-        "$",
-        NoiseParams,
-        alpha=_num(doc, "alpha", CONFIG_DEFAULTS["alpha"], "$", float, 0.0),
-        beta=_num(doc, "beta", CONFIG_DEFAULTS["beta"], "$", float, 0.0),
-        gamma=_num(doc, "gamma", CONFIG_DEFAULTS["gamma"], "$", float),
-    )
-
-    som_doc = doc.get("som", {})
-    _check_keys(som_doc, {"epochs", "initial_radius", "final_radius"}, "$.som")
-    initial_radius = som_doc.get("initial_radius")
-    if initial_radius is not None:
-        initial_radius = _num(som_doc, "initial_radius", None, "$.som", float, 0.0)
-    som_params = _build(
-        "$.som",
-        SomParams,
-        epochs=_num(som_doc, "epochs", 10, "$.som", int, 1),
-        initial_radius=initial_radius,
-        final_radius=_num(som_doc, "final_radius", 0.5, "$.som", float),
-    )
-
-    nfis_doc = doc.get("nfis", {})
-    _check_keys(nfis_doc, {"epochs", "premise_learning_rate"}, "$.nfis")
-    nfis_params = _build(
-        "$.nfis",
-        NfisTrainParams,
-        epochs=_num(nfis_doc, "epochs", 10, "$.nfis", int, 1),
-        premise_learning_rate=_num(nfis_doc, "premise_learning_rate", 0.05, "$.nfis", float),
-    )
-
-    loop = _build(
-        "$",
-        LoopConfig,
-        iterations=_num(doc, "iterations", CONFIG_DEFAULTS["iterations"], "$", int, 1),
-        n_rules=_num(doc, "n_rules", CONFIG_DEFAULTS["n_rules"], "$", int, 1),
-        bins=_num(doc, "bins", CONFIG_DEFAULTS["bins"], "$", int, 2),
-        n_min=_num(doc, "n_min", CONFIG_DEFAULTS["n_min"], "$", int, 2),
-        n_max=_num(doc, "n_max", CONFIG_DEFAULTS["n_max"], "$", int, 2),
-        initial_N=_num(doc, "initial_N", CONFIG_DEFAULTS["initial_N"], "$", int, 1),
-        som_params=som_params,
-        nfis_params=nfis_params,
-        seed=_num(doc, "seed", CONFIG_DEFAULTS["seed"], "$", int),
-    )
+    sections = {}
+    for key, table, cls in (("split", SPLIT_KEYS, SplitSpec), ("som", SOM_KEYS, SomParams),
+                            ("nfis", NFIS_KEYS, NfisTrainParams)):
+        section = doc.get(key, {})
+        _check_keys(section, table, f"$.{key}")
+        sections[key] = _build(f"$.{key}", cls, **_values(section, table, f"$.{key}", cls))
+    noise = _build("$", NoiseParams, **_values(doc, NOISE_KEYS, "$"))
+    loop = _build("$", LoopConfig, **_values(doc, LOOP_KEYS, "$"),
+                  som_params=sections["som"], nfis_params=sections["nfis"])
 
     bin_schedule = doc.get("bin_schedule", loop.bins)
     if isinstance(bin_schedule, list):
@@ -198,11 +151,7 @@ def load_config(path) -> RunConfig:
     sweep_doc = doc.get("sweep")
     if sweep_doc is None:
         sweep_doc = {}
-    _check_keys(
-        sweep_doc,
-        {"alphas", "betas", "gammas", "extras", "repeats", "system", "burn_in"},
-        "$.sweep",
-    )
+    _check_keys(sweep_doc, {"alphas", "betas", "gammas", "extras", "system", *SWEEP_KEYS}, "$.sweep")
     system = sweep_doc.get("system", "sonfis")
     if system not in ("sonfis", "sorst"):
         raise ConfigError(f"$.sweep.system: must be 'sonfis' or 'sorst', got {system!r}")
@@ -222,28 +171,21 @@ def load_config(path) -> RunConfig:
         # Parameter values keep their JSON form, so an integer alpha is
         # written to sweep.csv as `1`, not `1.0`.
         grid[key] = tuple(checked if kind is int else vals)
-    burn_in = _num(sweep_doc, "burn_in", 0, "$.sweep", int, 0)
-    if burn_in >= loop.iterations:
-        raise ConfigError(f"$.sweep.burn_in: must be < iterations ({loop.iterations}), got {burn_in}")
-    sweep_spec = _build(
-        "$.sweep",
-        sweep_mod.SweepSpec,
-        **grid,
-        repeats=_num(sweep_doc, "repeats", 1, "$.sweep", int, 1),
-        base_config=loop,
-        system=system,
-        burn_in=burn_in,
-    )
+    sweep_spec = _build("$.sweep", sweep_mod.SweepSpec, **grid,
+                        **{"repeats": 1, **_values(sweep_doc, SWEEP_KEYS, "$.sweep")},
+                        base_config=loop, system=system)
+    if sweep_spec.burn_in >= loop.iterations:
+        raise ConfigError(f"$.sweep.burn_in: must be < iterations ({loop.iterations}), "
+                          f"got {sweep_spec.burn_in}")
 
-    return RunConfig(src, split_spec, noise, loop, bin_schedule, sweep_spec)
+    return RunConfig(src, sections["split"], noise, loop, bin_schedule, sweep_spec)
 
 
 def _prepare_data(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     if "csv" in cfg.dataset_source:
         ds = load_csv(cfg.dataset_source["csv"], cfg.dataset_source["decision_column"])
     else:
-        syn = cfg.dataset_source["synthetic"]
-        ds = gen_synthetic(syn.get("n", 693), syn.get("noise_sd", 0.05), syn.get("seed", 7))
+        ds = gen_synthetic(**cfg.dataset_source["synthetic"])
     ds = min_max_normalize(ds)
     return split(ds, cfg.split_spec)
 
@@ -276,19 +218,8 @@ def _cmd_sweep(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     sweep_mod.export_csv(result, outdir / "sweep.csv")
     if args.trajectories is not None:
-        doc = []
-        for cell in result.cells:
-            for rep, traj in enumerate(cell.trajectories or []):
-                doc.append(
-                    {
-                        "alpha": cell.alpha,
-                        "beta": cell.beta,
-                        "gamma": cell.gamma,
-                        "extra": cell.extra,
-                        "repeat": rep,
-                        "points": [p.row() for p in traj.points],
-                    }
-                )
+        doc = [{**sweep_mod.cell_key(cell, rep), "points": [astuple(p) for p in traj.points]}
+               for cell in result.cells for rep, traj in enumerate(cell.trajectories or [])]
         Path(args.trajectories).write_text(json.dumps(doc))
     return 0
 
@@ -310,9 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="write a synthetic CSV dataset")
-    g.add_argument("--n", type=int, default=693)
-    g.add_argument("--noise", type=float, default=0.05)
-    g.add_argument("--seed", type=int, default=7)
+    g.add_argument("--n", type=int, default=SYNTHETIC_DEFAULTS["n"])
+    g.add_argument("--noise", type=float, default=SYNTHETIC_DEFAULTS["noise_sd"])
+    g.add_argument("--seed", type=int, default=SYNTHETIC_DEFAULTS["seed"])
     g.add_argument("--out", required=True)
 
     for name in ("run-sonfis", "run-sorst"):

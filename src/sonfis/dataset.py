@@ -23,8 +23,8 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class SplitSpec:
-    n_train: int
-    n_test: int
+    n_train: int = 600
+    n_test: int = 93
     shuffle_seed: int | None = None
 
     def __post_init__(self):

@@ -3,10 +3,12 @@ N_{t+1} = alpha*N_t + beta*E_t + gamma drives the SOM granularity, while the
 second layer (fuzzy system or rough rule set) supplies the error E_t measured
 on the test data at each close-open iteration.
 
-Rounding note: the raw update is floored to an integer before clamping.
+Rounding note: the raw update is clamped to [n_min, n_max], then floored.
 Floor is the one rounding whose fixed band stays within one unit of the
 affine map's fixed point (beta*E + gamma) / (1 - alpha); half-up rounding
 widens the band to ~1/(1 - alpha) and would park the trajectory far above it.
+The bounds are integers, so clamping first gives the same integers as
+flooring first for every finite raw value, and maps an infinite one to n_max.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -25,9 +27,11 @@ from .som import SomParams, extract_granules, grid_dims, train_som
 
 @dataclass(frozen=True)
 class NoiseParams:
-    alpha: float
-    beta: float
-    gamma: float
+    """The update law's connectivity parameters; the defaults are the
+    paper's baseline."""
+    alpha: float = 0.9
+    beta: float = 0.001
+    gamma: float = 0.5
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
@@ -64,16 +68,19 @@ class LoopConfig:
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
+    """One step of a run. The fields, in order, are the trajectory CSV's
+    columns and the report's point keys."""
     t: int
     N: int
-    dims: tuple[int, int]
+    n1: int  # SOM grid rows
+    n2: int  # SOM grid columns
     live_granules: int
     E: float
     extra: int  # rule count (SONFIS) or bin count (SORST-AS) used at t
 
-    def row(self) -> list:
-        """The point in `Trajectory.CSV_HEADER` order."""
-        return [self.t, self.N, self.dims[0], self.dims[1], self.live_granules, self.E, self.extra]
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.n1, self.n2
 
 
 @dataclass
@@ -86,13 +93,13 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.points)
 
-    CSV_HEADER = ["t", "N", "n1", "n2", "live_granules", "E", "extra"]
+    CSV_HEADER = [f.name for f in fields(TrajectoryPoint)]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(self.CSV_HEADER)
-            w.writerows(p.row() for p in self.points)
+            w.writerows(astuple(p) for p in self.points)
 
     def N_series(self) -> np.ndarray:
         return np.array([p.N for p in self.points], dtype=np.float64)
@@ -110,21 +117,11 @@ class OrderMetrics:
     mean_E: float
     regime: str
 
-    def as_dict(self) -> dict:
-        return {
-            "mean_NG": self.mean_NG,
-            "std_NG": self.std_NG,
-            "min_NG": self.min_NG,
-            "max_NG": self.max_NG,
-            "mean_E": self.mean_E,
-            "regime": self.regime,
-        }
-
 
 def update_neuron_count(N_t: int, E_t: float, p: NoiseParams, n_min: int, n_max: int) -> int:
-    """One step of the neuron-growth law, floored and clamped."""
+    """One step of the neuron-growth law, clamped and floored."""
     raw = p.alpha * N_t + p.beta * E_t + p.gamma
-    return int(min(max(math.floor(raw), n_min), n_max))
+    return math.floor(min(max(raw, n_min), n_max))
 
 
 def _iter_seed(master: int, t: int, stream: int = 0) -> int:
@@ -158,7 +155,7 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
             elif t == 1:
                 E = float(np.std(test.y))
             # otherwise E carries forward from t - 1
-        points.append(TrajectoryPoint(t, N, dims, len(granules), E, extra))
+        points.append(TrajectoryPoint(t, N, *dims, len(granules), E, extra))
         N = update_neuron_count(N, E, p, cfg.n_min, cfg.n_max)
     return Trajectory(points, cfg, p, final_model)
 
@@ -240,29 +237,17 @@ def trajectory_report(traj: Trajectory) -> str:
     the final second-layer model when one was fitted."""
     model = traj.final_model
     model_doc = None if model is None else json.loads(model.to_json())
-    cfg = traj.config
+    # The config echo uses the config file's keys: the loop's scalars, then
+    # the "som" and "nfis" sections. The SOM seed is drawn per step, so it
+    # is left out.
+    config = asdict(traj.config)
+    som, nfis_params = config.pop("som_params"), config.pop("nfis_params")
+    del som["seed"]
     doc = {
-        "config": {
-            "iterations": cfg.iterations,
-            "n_rules": cfg.n_rules,
-            "bins": cfg.bins,
-            "n_min": cfg.n_min,
-            "n_max": cfg.n_max,
-            "initial_N": cfg.initial_N,
-            "seed": cfg.seed,
-            "som": {
-                "epochs": cfg.som_params.epochs,
-                "initial_radius": cfg.som_params.initial_radius,
-                "final_radius": cfg.som_params.final_radius,
-            },
-            "nfis": {
-                "epochs": cfg.nfis_params.epochs,
-                "premise_learning_rate": cfg.nfis_params.premise_learning_rate,
-            },
-        },
-        "noise": {"alpha": traj.params.alpha, "beta": traj.params.beta, "gamma": traj.params.gamma},
-        "order_metrics": order_metrics(traj).as_dict(),
+        "config": {**config, "som": som, "nfis": nfis_params},
+        "noise": asdict(traj.params),
+        "order_metrics": asdict(order_metrics(traj)),
         "final_model": model_doc,
-        "points": [dict(zip(Trajectory.CSV_HEADER, pt.row())) for pt in traj.points],
+        "points": [asdict(pt) for pt in traj.points],
     }
     return json.dumps(doc, indent=2)

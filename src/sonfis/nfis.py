@@ -22,7 +22,6 @@ WIDTH_FLOOR_TRAIN = 0.01
 class NfisTrainParams:
     epochs: int = 10
     premise_learning_rate: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:

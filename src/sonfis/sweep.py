@@ -6,7 +6,7 @@ deterministic seed derivation, and long-format CSV export.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -14,7 +14,11 @@ import numpy as np
 from .dataset import Dataset
 from .dynamics import LoopConfig, NoiseParams, OrderMetrics, order_metrics, run_sonfis, run_sorst_as
 
-CSV_HEADER = ["alpha", "beta", "gamma", "extra", "repeat", "mean_NG", "std_NG", "mean_E", "regime"]
+# The sweep CSV's columns, in order, each with the type `load_csv_rows`
+# parses it back with: the cell key, then the repeat's order metrics.
+COLUMNS = {"alpha": float, "beta": float, "gamma": float, "extra": int, "repeat": int,
+           "mean_NG": float, "std_NG": float, "mean_E": float, "regime": str}
+CSV_HEADER = list(COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -114,15 +118,21 @@ def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
     return SweepResult(spec, cells)
 
 
+def cell_key(cell: CellResult, repeat: int) -> dict:
+    """The parameters and repeat index that name one trajectory of a sweep."""
+    return {"alpha": cell.alpha, "beta": cell.beta, "gamma": cell.gamma, "extra": cell.extra,
+            "repeat": repeat}
+
+
 def result_rows(result: SweepResult) -> list[dict]:
     """One row per (cell, repeat) that ran, keyed by `CSV_HEADER`: the rows
     `export_csv` writes."""
-    return [
-        dict(zip(CSV_HEADER, (cell.alpha, cell.beta, cell.gamma, cell.extra, rep,
-                              m.mean_NG, m.std_NG, m.mean_E, m.regime)))
-        for cell in result.cells
-        for rep, m in enumerate(cell.metrics)
-    ]
+    rows = []
+    for cell in result.cells:
+        for rep, m in enumerate(cell.metrics):
+            values = {**cell_key(cell, rep), **asdict(m)}
+            rows.append({col: values[col] for col in CSV_HEADER})
+    return rows
 
 
 def transition_profile(result: SweepResult, axis: str) -> dict:
@@ -144,22 +154,7 @@ def load_csv_rows(path) -> list[dict]:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_HEADER:
             raise ValueError(f"unexpected sweep CSV header: {reader.fieldnames}")
-        rows = []
-        for row in reader:
-            rows.append(
-                {
-                    "alpha": float(row["alpha"]),
-                    "beta": float(row["beta"]),
-                    "gamma": float(row["gamma"]),
-                    "extra": int(row["extra"]),
-                    "repeat": int(row["repeat"]),
-                    "mean_NG": float(row["mean_NG"]),
-                    "std_NG": float(row["std_NG"]),
-                    "mean_E": float(row["mean_E"]),
-                    "regime": row["regime"],
-                }
-            )
-    return rows
+        return [{col: parse(row[col]) for col, parse in COLUMNS.items()} for row in reader]
 
 
 def profile_from_rows(rows: list[dict], axis: str) -> dict:

@@ -1,9 +1,15 @@
+import copy
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sonfis.cli import ConfigError, execute, load_config
+from sonfis.cli import ConfigError, _prepare_data, execute, load_config
+from sonfis.dataset import DatasetError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -52,7 +58,52 @@ BAD_CONFIGS = [
     pytest.param("run-sorst", {"bin_schedule": True}, "$.bin_schedule:", id="bin-schedule-bool"),
     pytest.param("sweep", {"sweep": {"system": "sorst", "extras": [1]}}, "$.sweep.extras[0]:",
                  id="sorst-one-bin"),
+    # Seeds below 0, which NumPy's seed sequences would reject only at run time.
+    pytest.param("sweep", {"seed": -1}, "$.seed:", id="seed-negative"),
+    pytest.param("run-sonfis", {"dataset": {"synthetic": {"seed": -1}}}, "$.dataset.synthetic.seed:",
+                 id="synthetic-seed-negative"),
+    pytest.param("run-sonfis", {"split": {"shuffle_seed": -1}}, "$.split.shuffle_seed:",
+                 id="shuffle-seed-negative"),
 ]
+
+# Every key a config can set, as its path from the root.
+CONFIG_PATHS = [
+    *[(key,) for key in ("alpha", "beta", "gamma", "iterations", "n_rules", "bins", "n_min", "n_max",
+                         "initial_N", "seed", "bin_schedule", "dataset", "split", "som", "nfis", "sweep")],
+    *[("dataset", key) for key in ("csv", "decision_column", "synthetic")],
+    *[("dataset", "synthetic", key) for key in ("n", "noise_sd", "seed")],
+    *[("split", key) for key in ("n_train", "n_test", "shuffle_seed")],
+    *[("som", key) for key in ("epochs", "initial_radius", "final_radius")],
+    *[("nfis", key) for key in ("epochs", "premise_learning_rate")],
+    *[("sweep", key) for key in ("alphas", "betas", "gammas", "extras", "repeats", "system", "burn_in")],
+]
+DELETE = object()
+# Valid values and everything else a JSON file can hold where a number, a
+# list or a section belongs.
+HOSTILE = st.sampled_from([DELETE, None, True, False, 0, 1, 2, 3, 20, -1, 0.5, 0.0, 2.0, 3.0, 20.0,
+                           1e308, -1e308, math.inf, -math.inf, math.nan, "x", "sorst", [], [2, 3], [2.0],
+                           [0.5, "x"], [1e308], {}])
+# `dataset.synthetic.n` stays small, so every generated dataset is cheap.
+SMALL_N = st.sampled_from([DELETE, None, True, 0, 1, 2, 30, 60.0, -5, 2.5, math.nan, "x"])
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """SMALL with up to four keys set to a drawn value or deleted."""
+    doc = copy.deepcopy(SMALL)
+    for path in draw(st.lists(st.sampled_from(CONFIG_PATHS), max_size=4)):
+        value = draw(SMALL_N if path == ("dataset", "synthetic", "n") else HOSTILE)
+        parent = doc
+        for key in path[:-1]:
+            if isinstance(parent, dict):
+                parent = parent.setdefault(key, {})
+        if not isinstance(parent, dict):
+            continue
+        if value is DELETE:
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = copy.deepcopy(value)  # a later edit may fill a drawn {}
+    return doc
 
 
 class TestLoadConfig:
@@ -91,6 +142,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(p)
 
+    def test_readme_configuration_block_is_the_defaults(self, tmp_path):
+        text = README.read_text().split("### Configuration", 1)[1]
+        block = text.split("```json\n", 1)[1].split("```", 1)[0]
+        p = tmp_path / "readme.json"
+        p.write_text(block)
+        assert load_config(p) == load_config(write_config(tmp_path, {}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=fuzzed_configs())
+    def test_fuzzed_config_fails_only_as_config_or_data(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("fuzz") / "config.json"
+        path.write_text(json.dumps(doc))
+        try:
+            cfg = load_config(path)
+        except ConfigError:
+            return
+        try:
+            _prepare_data(cfg)
+        except DatasetError:
+            pass
+
 
 class TestExecute:
     def test_unknown_subcommand_exits_2(self, capsys):
@@ -126,6 +198,37 @@ class TestExecute:
         cfg = write_config(tmp_path, dict(SMALL, **doc))
         assert execute([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {where}")
+
+    def test_integral_floats_run_as_integers(self, tmp_path):
+        outputs = []
+        for name, syn in (("int", {"n": 140, "seed": 3}), ("float", {"n": 140.0, "seed": 3.0})):
+            cfg = write_config(tmp_path, dict(SMALL, dataset={"synthetic": syn}), f"{name}.json")
+            assert execute(["run-sonfis", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name / "trajectory_sonfis.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_overflowing_alpha_runs_at_n_max(self, tmp_path):
+        # alpha * N overflows to inf; the update law clamps it to n_max.
+        cfg = write_config(tmp_path, dict(SMALL, alpha=1e308, n_max=30))
+        out = tmp_path / "out"
+        assert execute(["run-sonfis", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "trajectory_sonfis.csv").read_text().splitlines()
+        assert [int(line.split(",")[1]) for line in lines[1:]] == [16, 30, 30, 30]
+        assert execute(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 2
+
+    def test_report_echo_loads_as_the_run_config(self, tmp_path):
+        doc = dict(SMALL, alpha=0.85, beta=0.2, gamma=1.5, seed=4, bins=4,
+                   som={"epochs": 2, "initial_radius": 3.0, "final_radius": 0.7},
+                   nfis={"epochs": 2, "premise_learning_rate": 0.1})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert execute(["run-sonfis", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report_sonfis.json").read_text())
+        echo = load_config(write_config(tmp_path, {**report["config"], **report["noise"]}, "echo.json"))
+        run = load_config(cfg)
+        assert echo.loop == run.loop
+        assert echo.noise == run.noise
 
     def test_missing_csv_exits_3(self, tmp_path, capsys):
         doc = {"dataset": {"csv": str(tmp_path / "absent.csv"), "decision_column": "q"}}

@@ -47,6 +47,10 @@ class TestUpdateNeuronCount:
         assert update_neuron_count(4, 0.0, NoiseParams(0.5, 0.0, 0.0), 4, 400) == 4
         assert update_neuron_count(400, 100.0, NoiseParams(1.0, 1.0, 1.0), 4, 400) == 400
 
+    def test_overflowing_raw_clamps_to_n_max(self):
+        # 1e308 * 100 is inf; clamping before the floor keeps it an integer.
+        assert update_neuron_count(100, 0.0, NoiseParams(1e308, 0, 0), 4, 400) == 400
+
     @pytest.mark.parametrize("alpha", [0.7, 0.8, 0.9])
     def test_stub_iteration_settles_near_fixed_point(self, alpha):
         p = NoiseParams(alpha, 0.001, 0.5)
@@ -166,7 +170,7 @@ def make_traj(Ns, Es=None):
     Es = Es or [0.1] * len(Ns)
     cfg = LoopConfig(iterations=len(Ns), initial_N=Ns[0], n_max=max(400, max(Ns)), seed=0)
     pts = [
-        TrajectoryPoint(t + 1, N, (1, N), N, E, 2)
+        TrajectoryPoint(t + 1, N, 1, N, N, E, 2)
         for t, (N, E) in enumerate(zip(Ns, Es))
     ]
     return Trajectory(pts, cfg, NoiseParams(0.9, 0.001, 0.5))

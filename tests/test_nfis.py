@@ -122,7 +122,7 @@ class TestTrainHybrid:
     def test_determinism(self):
         rng = np.random.default_rng(4)
         gs = make_granules(rng.random((15, 2)), rng.random(15))
-        p = NfisTrainParams(epochs=4, seed=5)
+        p = NfisTrainParams(epochs=4)
         f1 = train_hybrid(init_rulebase(gs, 3, seed=5), gs, p)
         f2 = train_hybrid(init_rulebase(gs, 3, seed=5), gs, p)
         assert np.array_equal(f1.centers, f2.centers)

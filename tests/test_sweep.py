@@ -5,11 +5,11 @@ from sonfis.dataset import SplitSpec, gen_synthetic, min_max_normalize, split
 from sonfis.dynamics import LoopConfig
 from sonfis.som import SomParams
 from sonfis.sweep import (
-    CSV_HEADER,
     SweepSpec,
     export_csv,
     load_csv_rows,
     profile_from_rows,
+    result_rows,
     run_sweep,
     transition_profile,
 )
@@ -157,7 +157,7 @@ class TestExportCsv:
         path = tmp_path / "sweep.csv"
         export_csv(result, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(CSV_HEADER)
+        assert lines[0] == "alpha,beta,gamma,extra,repeat,mean_NG,std_NG,mean_E,regime"
         assert len(lines) == 1 + 5 * 3
 
     def test_round_trip_profiles_match(self, tiny_data, tmp_path):
@@ -168,6 +168,18 @@ class TestExportCsv:
         export_csv(result, path)
         rows = load_csv_rows(path)
         assert profile_from_rows(rows, "alpha") == transition_profile(result, "alpha")
+
+    def test_load_returns_the_exported_rows(self, tiny_data, tmp_path):
+        train, test = tiny_data
+        spec = stub_spec(alphas=(0.7, 0.9), repeats=2)
+        result = run_sweep(spec, train, test, error_fn=lambda t, g: 10.0)
+        path = tmp_path / "sweep.csv"
+        export_csv(result, path)
+
+        def typed(rows):
+            return [{k: (type(v), v) for k, v in row.items()} for row in rows]
+
+        assert typed(load_csv_rows(path)) == typed(result_rows(result))
 
 
 class TestSpecValidation:
