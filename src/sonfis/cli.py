@@ -221,6 +221,9 @@ def _cmd_sweep(args) -> int:
         doc = [{**sweep_mod.cell_key(cell, rep), "points": [astuple(p) for p in traj.points]}
                for cell in result.cells for rep, traj in enumerate(cell.trajectories or [])]
         Path(args.trajectories).write_text(json.dumps(doc))
+    if all(cell.error is not None for cell in result.cells):
+        print(f"runtime error: {result.cells[0].error}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -160,14 +160,6 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     return Trajectory(points, cfg, p, final_model)
 
 
-def _bounded_rmse(fis: nfis.FuzzyRuleBase, test: Dataset, lo: float, hi: float) -> float:
-    """`nfis.rmse` of the fuzzy output clipped to [lo, hi]."""
-    if len(test) == 0:
-        raise ValueError("empty test set")
-    pred = np.clip(nfis.predict(fis, test.X), lo, hi)
-    return float(np.sqrt(np.mean((pred - test.y) ** 2)))
-
-
 def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
                error_fn=None) -> Trajectory:
     """Close-open loop with the fuzzy second layer. E_t is the test RMSE of
@@ -182,7 +174,7 @@ def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
             return None
         fis = nfis.init_rulebase(granules, n_rules, seed=seed)
         fis = nfis.train_hybrid(fis, granules, cfg.nfis_params)
-        return _bounded_rmse(fis, test, train.y.min(), train.y.max()), fis
+        return nfis.rmse(fis, test, train.y.min(), train.y.max()), fis
 
     return _run_loop(train, test, cfg, p, [cfg.n_rules] * cfg.iterations, fit_eval, error_fn)
 
@@ -212,10 +204,14 @@ def run_sorst_as(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     return _run_loop(train, test, cfg, p, schedule, fit_eval, error_fn)
 
 
-def order_metrics(traj: Trajectory, burn_in: int = 0,
-                  laminar_cv: float = 0.05, disordered_cv: float = 0.25) -> OrderMetrics:
+LAMINAR_CV = 0.05
+DISORDERED_CV = 0.25
+
+
+def order_metrics(traj: Trajectory, burn_in: int = 0) -> OrderMetrics:
     """Fluctuation statistics of the neuron-growth series after `burn_in`
-    points, with a coefficient-of-variation regime label."""
+    points, with a coefficient-of-variation regime label: laminar below
+    LAMINAR_CV, disordered above DISORDERED_CV, transition between."""
     if burn_in >= len(traj):
         raise ValueError("burn_in must be smaller than the trajectory length")
     NG = traj.N_series()[burn_in:]
@@ -223,9 +219,9 @@ def order_metrics(traj: Trajectory, burn_in: int = 0,
     mean = float(NG.mean())
     std = float(NG.std())  # population std
     cv = std / mean if mean > 0 else 0.0
-    if cv < laminar_cv:
+    if cv < LAMINAR_CV:
         regime = "laminar"
-    elif cv > disordered_cv:
+    elif cv > DISORDERED_CV:
         regime = "disordered"
     else:
         regime = "transition"

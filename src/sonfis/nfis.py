@@ -16,6 +16,7 @@ from .som import GranuleSet
 
 WIDTH_FLOOR_INIT = 0.1
 WIDTH_FLOOR_TRAIN = 0.01
+KMEANS_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,14 @@ class FuzzyRuleBase:
         return json.dumps({"n_rules": self.n_rules, "rules": rules}, indent=2)
 
 
-def _kmeans(points: np.ndarray, k: int, seed: int, iters: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Plain Lloyd iterations; empty clusters are reseeded from the point
-    farthest from its current center. Returns (centers, labels)."""
+def _kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """At most KMEANS_ITERS plain Lloyd iterations; empty clusters are
+    reseeded from the point farthest from its current center. Returns
+    (centers, labels)."""
     rng = np.random.default_rng(seed)
     centers = points[rng.choice(len(points), size=k, replace=False)].copy()
     labels = np.zeros(len(points), dtype=np.int64)
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         for j in range(k):
@@ -188,9 +190,10 @@ def train_hybrid(fis: FuzzyRuleBase, granules: GranuleSet, params: NfisTrainPara
     return out
 
 
-def rmse(fis: FuzzyRuleBase, test: Dataset) -> float:
-    """Root mean square error of the system output over the test set."""
+def rmse(fis: FuzzyRuleBase, test: Dataset, lo: float = -np.inf, hi: float = np.inf) -> float:
+    """Root mean square error over the test set of the system output
+    clipped to [lo, hi] (unclipped by default)."""
     if len(test) == 0:
         raise ValueError("empty test set")
-    pred = predict(fis, test.X)
+    pred = np.clip(predict(fis, test.X), lo, hi)
     return float(np.sqrt(np.mean((pred - test.y) ** 2)))

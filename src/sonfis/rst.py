@@ -7,7 +7,7 @@ resulting classifier with its MSE performance measure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +25,10 @@ _BIN_NAMES = {
     4: ["very low", "low", "high", "very high"],
     5: ["very low", "low", "middle", "high", "very high"],
 }
+
+# The scaling SOMs' schedule. A tight final radius makes each codebook end
+# close to k-means cluster means, not smoothed toward its neighbors.
+SCALING_SOM = SomParams(epochs=30, final_radius=0.2)
 
 
 @dataclass
@@ -61,23 +65,13 @@ def _nearest_label(values: np.ndarray, codebook: np.ndarray) -> np.ndarray:
 class DecisionTable:
     conditions: np.ndarray  # (n, a) int labels
     decisions: np.ndarray  # (n,) int labels
-    condition_bins: list[int] = field(default_factory=list)
-    decision_bins: int = 0
 
     def __post_init__(self):
         self.conditions = np.atleast_2d(np.asarray(self.conditions, dtype=np.int64))
         self.decisions = np.asarray(self.decisions, dtype=np.int64)
-        if not self.condition_bins:
-            self.condition_bins = [int(c.max()) + 1 for c in self.conditions.T]
-        if not self.decision_bins:
-            self.decision_bins = int(self.decisions.max()) + 1
 
     def __len__(self) -> int:
         return len(self.decisions)
-
-    @property
-    def n_attributes(self) -> int:
-        return self.conditions.shape[1]
 
 
 @dataclass
@@ -137,26 +131,18 @@ class RuleSet:
         return "\n".join(lines)
 
 
-def fit_scaling(train: Dataset, bins: int, seed: int, decision_bins: int | None = None,
-                som_params: SomParams | None = None) -> ScalingMap:
+def fit_scaling(train: Dataset, bins: int, seed: int) -> ScalingMap:
     """Learn per-attribute bin codebooks with 1-D batch SOMs (dims (1, bins))
-    over each attribute's scalar values, then sort each codebook ascending.
-    The decision attribute uses `decision_bins` (defaults to `bins`)."""
+    over each attribute's scalar values, decision included, then sort each
+    codebook ascending."""
     if bins < 2:
         raise ScalingError("bins must be >= 2")
-    dbins = decision_bins if decision_bins is not None else bins
-    if dbins < 2:
-        raise ScalingError("decision_bins must be >= 2")
-    # Tight final radius: the codebook must end close to k-means cluster
-    # means, not smoothed toward its neighbors.
-    base = som_params or SomParams(epochs=30, final_radius=0.2)
 
-    def fit_one(name: str, values: np.ndarray, b: int, sub_seed: int) -> np.ndarray:
+    def fit_one(name: str, values: np.ndarray, sub_seed: int) -> np.ndarray:
         if values.max() <= values.min():
             raise ScalingError(f"constant attribute {name!r}")
         ds1 = Dataset(values[:, None], np.zeros(len(values)), [name, "d"])
-        params = SomParams(base.epochs, base.initial_radius, base.final_radius, sub_seed)
-        grid = train_som(ds1, (1, b), params)
+        grid = train_som(ds1, (1, bins), replace(SCALING_SOM, seed=sub_seed))
         cb = np.sort(grid.prototypes[:, 0])
         if not (np.diff(cb) > 0).all():
             raise ScalingError(f"degenerate codebook for attribute {name!r}")
@@ -165,20 +151,15 @@ def fit_scaling(train: Dataset, bins: int, seed: int, decision_bins: int | None 
     input_cbs = []
     for j in range(train.n_inputs):
         sub_seed = int(np.random.SeedSequence([seed, j]).generate_state(1)[0])
-        input_cbs.append(fit_one(train.attribute_names[j], train.X[:, j], bins, sub_seed))
+        input_cbs.append(fit_one(train.attribute_names[j], train.X[:, j], sub_seed))
     dec_seed = int(np.random.SeedSequence([seed, train.n_inputs]).generate_state(1)[0])
-    dec_cb = fit_one(train.decision_name, train.y, dbins, dec_seed)
+    dec_cb = fit_one(train.decision_name, train.y, dec_seed)
     return ScalingMap(input_cbs, dec_cb)
 
 
 def apply_scaling(scaling: ScalingMap, ds: Dataset) -> DecisionTable:
     """Map every value to the label of its nearest codebook center."""
-    return DecisionTable(
-        scaling.discretize_inputs(ds.X),
-        scaling.discretize_decision(ds.y),
-        scaling.input_bin_counts,
-        scaling.decision_bin_count,
-    )
+    return DecisionTable(scaling.discretize_inputs(ds.X), scaling.discretize_decision(ds.y))
 
 
 def indiscernibility_partition(table: DecisionTable, attrs) -> list[list[int]]:
@@ -229,15 +210,12 @@ def induce_rules(table: DecisionTable, scaling: ScalingMap) -> RuleSet:
     decision of the table, ties toward the higher label."""
     if len(table) == 0:
         raise ValueError("empty decision table")
-    groups: dict[tuple, list[int]] = {}
-    for i in range(len(table)):
-        groups.setdefault(tuple(table.conditions[i]), []).append(i)
     rules = []
-    for pattern, idx in groups.items():
+    for idx in indiscernibility_partition(table, range(table.conditions.shape[1])):
         decisions = table.decisions[idx]
         certain = bool((decisions == decisions[0]).all())
         decision = int(decisions[0]) if certain else int(decisions.max())
-        rules.append(DecisionRule(tuple(map(int, pattern)), decision, len(idx), certain))
+        rules.append(DecisionRule(tuple(map(int, table.conditions[idx[0]])), decision, len(idx), certain))
     counts = np.bincount(table.decisions)
     best = counts.max()
     default = int(np.nonzero(counts == best)[0].max())

@@ -39,7 +39,6 @@ class SomGrid:
     n1: int
     n2: int
     prototypes: np.ndarray  # (n1*n2, d)
-    hit_counts: np.ndarray  # (n1*n2,) final BMU assignment counts
 
     @property
     def n_neurons(self) -> int:
@@ -51,7 +50,6 @@ class GranuleSet:
     inputs: np.ndarray  # (m, d) live prototype vectors
     decisions: np.ndarray  # (m,) mean decision of assigned records
     support: np.ndarray  # (m,) assigned-record counts, all >= 1
-    source_dims: tuple[int, int]
 
     def __len__(self) -> int:
         return len(self.decisions)
@@ -115,10 +113,7 @@ def train_som(train: Dataset, dims: tuple[int, int], params: SomParams) -> SomGr
         denom = H @ counts
         live = denom > 0
         protos[live] = numer[live] / denom[live, None]
-
-    final_bmus = kernels.assign_bmus(data, protos)
-    hits = np.bincount(final_bmus, minlength=N)
-    return SomGrid(n1, n2, protos, hits)
+    return SomGrid(n1, n2, protos)
 
 
 def quantization_error(grid: SomGrid, data: Dataset) -> float:
@@ -143,5 +138,4 @@ def extract_granules(grid: SomGrid, train: Dataset) -> GranuleSet:
         inputs=grid.prototypes[live].copy(),
         decisions=dec_sums[live] / hits[live],
         support=hits[live],
-        source_dims=(grid.n1, grid.n2),
     )

@@ -227,7 +227,7 @@ class TestCriterion5:
     def check_table(self, rows, n_attrs):
         conds = [r[:n_attrs] for r in rows]
         decs = [r[n_attrs] for r in rows]
-        table = DecisionTable(np.array(conds), np.array(decs), [3] * n_attrs, 3)
+        table = DecisionTable(np.array(conds), np.array(decs))
         subsets = [
             attrs
             for size in range(n_attrs + 1)
@@ -262,7 +262,7 @@ class TestCriterion5:
 
 class TestCriterion6:
     def test_t0_hand_cases(self):
-        table = DecisionTable(np.array([[0], [0], [1], [1]]), np.array([0, 0, 0, 1]), [2], 2)
+        table = DecisionTable(np.array([[0], [0], [1], [1]]), np.array([0, 0, 0, 1]))
         concept = {0, 1, 2}  # objects with decision 0
         lower, upper = approximations(table, (0,), concept)
         gamma = dependency_degree(table, (0,))
@@ -287,7 +287,7 @@ class TestCriterion7:
         rng = np.random.default_rng(42)
         X = rng.uniform(size=(30, 3))
         y = 0.3 * X[:, 0] - 0.2 * X[:, 1] + 0.7 * X[:, 2] + 0.05
-        granules = GranuleSet(X, y, np.ones(30, dtype=np.int64), (5, 6))
+        granules = GranuleSet(X, y, np.ones(30, dtype=np.int64))
         fis = nfis.init_rulebase(granules, 1, seed=0)
         fis = nfis.train_hybrid(fis, granules, nfis.NfisTrainParams(epochs=1))
         Xt = rng.uniform(size=(40, 3))
@@ -348,8 +348,7 @@ class TestCriterion8:
             # the distinct records without replacement
             rng = np.random.default_rng(seed)
             uniq = np.unique(ds.X, axis=0)
-            init = SomGrid(*dims, uniq[rng.choice(len(uniq), size=N, replace=False)].copy(),
-                           np.zeros(N, dtype=np.int64))
+            init = SomGrid(*dims, uniq[rng.choice(len(uniq), size=N, replace=False)].copy())
             trained = train_som(ds, dims, SomParams(epochs=10, seed=seed))
             worst = max(worst, quantization_error(trained, ds) - quantization_error(init, ds))
         ok = worst <= 0.0

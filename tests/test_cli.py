@@ -217,6 +217,16 @@ class TestExecute:
         assert execute(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert len((out / "sweep.csv").read_text().splitlines()) == 2
 
+    def test_sweep_with_every_cell_failed_exits_1(self, tmp_path, capsys):
+        # 1e308 iterations pass the config check but overflow the run's
+        # step list, so the only cell fails.
+        cfg = write_config(tmp_path, dict(SMALL, iterations=1e308))
+        out = tmp_path / "out"
+        assert execute(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (out / "sweep.csv").read_text().splitlines() == [
+            "alpha,beta,gamma,extra,repeat,mean_NG,std_NG,mean_E,regime"]
+        assert capsys.readouterr().err.startswith("runtime error: OverflowError: ")
+
     def test_report_echo_loads_as_the_run_config(self, tmp_path):
         doc = dict(SMALL, alpha=0.85, beta=0.2, gamma=1.5, seed=4, bins=4,
                    som={"epochs": 2, "initial_radius": 3.0, "final_radius": 0.7},

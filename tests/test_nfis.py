@@ -18,7 +18,7 @@ from sonfis.som import GranuleSet
 def make_granules(X, y):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    return GranuleSet(X, y, np.ones(len(y), dtype=int), (1, len(y)))
+    return GranuleSet(X, y, np.ones(len(y), dtype=int))
 
 
 class TestInitRulebase:
@@ -196,10 +196,12 @@ class TestRmse:
         assert rmse(fis, ds) == 0.0
 
     def test_residual_arithmetic(self):
-        # residuals (3, 4) over m=2: sqrt(25/2)
+        # output 0 against (3, 4): residuals (3, 4) over m=2, sqrt(25/2);
+        # clipped up to [1, 2], residuals (2, 3), sqrt(13/2)
         fis = FuzzyRuleBase(np.array([[0.0]]), np.array([[1.0]]), np.array([[0.0, 0.0]]))
         ds = Dataset(np.array([[0.1], [0.2]]), np.array([3.0, 4.0]))
         assert rmse(fis, ds) == pytest.approx(np.sqrt(25 / 2))
+        assert rmse(fis, ds, 1.0, 2.0) == pytest.approx(np.sqrt(13 / 2))
 
     def test_empty_test_set(self):
         fis = FuzzyRuleBase(np.array([[0.0]]), np.array([[1.0]]), np.array([[0.0, 0.0]]))

@@ -40,7 +40,7 @@ tables = st.integers(1, 6).flatmap(
 
 
 def build(conds, decs):
-    return DecisionTable(np.array(conds, dtype=int), np.array(decs, dtype=int), [3, 3], 3)
+    return DecisionTable(np.array(conds, dtype=int), np.array(decs, dtype=int))
 
 
 class TestFitScaling:
@@ -71,13 +71,6 @@ class TestFitScaling:
         ds = Dataset(np.full((10, 1), 0.5), np.linspace(0, 1, 10))
         with pytest.raises(ScalingError, match="constant"):
             fit_scaling(ds, 2, seed=0)
-
-    def test_decision_bins_override(self):
-        rng = np.random.default_rng(3)
-        ds = Dataset(rng.random((80, 1)), rng.random(80))
-        sm = fit_scaling(ds, 3, seed=0, decision_bins=5)
-        assert sm.input_bin_counts == [3]
-        assert sm.decision_bin_count == 5
 
 
 class TestApplyScaling:
@@ -198,6 +191,13 @@ class TestInduceClassify:
         rules = induce_rules(table, t0_scaling)
         assert rules.default_decision == 1
 
+    def test_empty_table_rejected(self, t0_scaling):
+        table = DecisionTable(np.empty((0, 1)), np.empty(0))
+        with pytest.raises(ValueError, match="empty decision table"):
+            induce_rules(table, t0_scaling)
+        with pytest.raises(ValueError, match="empty decision table"):
+            dependency_degree(table, [0])
+
     def test_classify_t0(self, t0, t0_scaling):
         rules = induce_rules(t0, t0_scaling)
         assert classify(rules, [0.1]) == 0
@@ -233,14 +233,14 @@ class TestMse:
     def test_label_arithmetic(self):
         # real labels (2, 0) vs classified (0, 0): (4 + 0) / 2 = 2
         sm = ScalingMap([np.array([0.0, 1.0])], np.array([0.0, 0.5, 1.0]))
-        table = DecisionTable(np.array([[0], [1]]), np.array([0, 0]), [2], 3)
+        table = DecisionTable(np.array([[0], [1]]), np.array([0, 0]))
         rules = induce_rules(table, sm)
         test = Dataset(np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
         assert mse(rules, test) == pytest.approx(2.0)
 
     def test_bounded_by_label_range(self):
         sm = ScalingMap([np.array([0.0, 1.0])], np.array([0.0, 0.5, 1.0]))
-        table = DecisionTable(np.array([[0], [1]]), np.array([0, 2]), [2], 3)
+        table = DecisionTable(np.array([[0], [1]]), np.array([0, 2]))
         rules = induce_rules(table, sm)
         rng = np.random.default_rng(8)
         test = Dataset(rng.random((50, 1)), rng.random(50))

@@ -55,7 +55,10 @@ class TestTrainSom:
         g1 = train_som(ds, (3, 4), p)
         g2 = train_som(ds, (3, 4), p)
         assert np.array_equal(g1.prototypes, g2.prototypes)
-        assert np.array_equal(g1.hit_counts, g2.hit_counts)
+        gs1, gs2 = extract_granules(g1, ds), extract_granules(g2, ds)
+        assert np.array_equal(gs1.inputs, gs2.inputs)
+        assert np.array_equal(gs1.decisions, gs2.decisions)
+        assert np.array_equal(gs1.support, gs2.support)
 
     def test_record_order_invariance(self):
         ds = small_dataset()
@@ -75,19 +78,19 @@ class TestTrainSom:
 class TestQuantizationError:
     def test_zero_when_prototypes_cover_data(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
-        grid = SomGrid(1, 2, X.copy(), np.array([1, 1]))
+        grid = SomGrid(1, 2, X.copy())
         assert quantization_error(grid, Dataset(X, np.zeros(2))) == 0.0
 
     def test_scalar_mean_prototype(self):
         X = np.array([[0.0], [1.0]])
-        grid = SomGrid(1, 1, np.array([[0.5]]), np.array([2]))
+        grid = SomGrid(1, 1, np.array([[0.5]]))
         assert quantization_error(grid, Dataset(X, np.zeros(2))) == pytest.approx(0.5)
 
     def test_training_reduces_qe(self):
         ds = min_max_normalize(gen_synthetic(200, 0.1, 8))
         dims = (3, 3)
         rng = np.random.default_rng(9)
-        init = SomGrid(*dims, ds.X[rng.integers(0, len(ds), 9)].copy(), np.zeros(9, dtype=int))
+        init = SomGrid(*dims, ds.X[rng.integers(0, len(ds), 9)].copy())
         trained = train_som(ds, dims, SomParams(epochs=15, seed=9))
         assert quantization_error(trained, ds) <= quantization_error(init, ds)
 
