@@ -33,15 +33,15 @@ class ConfigError(ValueError):
     pass
 
 
-# Each config section's numeric keys as {key: (kind, minimum)}. A key the
-# file leaves out takes the default of the parameter object it builds.
+# Each config section's numeric keys as {key: (kind, minimum[, maximum])}; a
+# key the file leaves out takes the default of the parameter object it builds.
 NOISE_KEYS = {"alpha": (float, 0.0), "beta": (float, 0.0), "gamma": (float, None)}
-LOOP_KEYS = {"iterations": (int, 1), "n_rules": (int, 1), "bins": (int, 2), "n_min": (int, 2),
-             "n_max": (int, 2), "initial_N": (int, 1), "seed": (int, 0)}
+LOOP_KEYS = {"iterations": (int, 1, sys.maxsize), "n_rules": (int, 1), "bins": (tuple, 2),
+             "n_min": (int, 2), "n_max": (int, 2), "initial_N": (int, 1), "seed": (int, 0)}
 SPLIT_KEYS = {"n_train": (int, 1), "n_test": (int, 1), "shuffle_seed": (int, 0)}
 SOM_KEYS = {"epochs": (int, 1), "initial_radius": (float, 0.0), "final_radius": (float, None)}
 NFIS_KEYS = {"epochs": (int, 1), "premise_learning_rate": (float, None)}
-SWEEP_KEYS = {"repeats": (int, 1), "burn_in": (int, 0)}
+SWEEP_KEYS = {"repeats": (int, 1, sys.maxsize), "burn_in": (int, 0)}
 SYNTHETIC_KEYS = {"n": (int, 1), "noise_sd": (float, 0.0), "seed": (int, 0)}
 # `gen_synthetic`'s arguments where a config or `gen-data` leaves them out.
 SYNTHETIC_DEFAULTS = {"n": 693, "noise_sd": 0.05, "seed": 7}
@@ -53,7 +53,6 @@ class RunConfig:
     split_spec: SplitSpec
     noise: NoiseParams
     loop: LoopConfig
-    bin_schedule: list[int] | int
     sweep: sweep_mod.SweepSpec
 
 
@@ -65,16 +64,23 @@ def _check_keys(obj, allowed: set[str], path: str) -> None:
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
-def _number(val, where: str, kind=float, minimum=None):
-    """`val` as a finite `kind` that is at least `minimum`. JSON booleans
-    are not numbers here, and Python's json parser reads `Infinity` and
-    `NaN` as floats."""
+def _number(val, where: str, kind=float, minimum=None, maximum=None):
+    """`val` as a finite `kind` within [`minimum`, `maximum`]. Kind `tuple`
+    is one integer or a list of them, read as a tuple. JSON booleans are
+    not numbers here, and Python's json parser reads `Infinity` and `NaN`
+    as floats."""
+    if kind is tuple:
+        if isinstance(val, list):
+            return tuple(_number(v, f"{where}[{i}]", int, minimum, maximum) for i, v in enumerate(val))
+        kind = int
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {val!r}")
     if isinstance(val, float) and not math.isfinite(val):
         raise ConfigError(f"{where}: expected a finite number, got {val!r}")
     if kind is int and int(val) != val:
         raise ConfigError(f"{where}: expected an integer, got {val!r}")
+    if maximum is not None and val > maximum:
+        raise ConfigError(f"{where}: must be <= {maximum}, got {val!r}")
     val = kind(val)
     if minimum is not None and val < minimum:
         raise ConfigError(f"{where}: must be >= {minimum}, got {val}")
@@ -109,8 +115,7 @@ def load_config(path) -> RunConfig:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    _check_keys(doc, {*NOISE_KEYS, *LOOP_KEYS, "dataset", "split", "bin_schedule", "som", "nfis",
-                      "sweep"}, "$")
+    _check_keys(doc, {*NOISE_KEYS, *LOOP_KEYS, "dataset", "split", "som", "nfis", "sweep"}, "$")
 
     src = doc.get("dataset", {"synthetic": {}})
     _check_keys(src, {"csv", "decision_column", "synthetic"}, "$.dataset")
@@ -136,17 +141,7 @@ def load_config(path) -> RunConfig:
         _check_keys(section, table, f"$.{key}")
         sections[key] = _build(f"$.{key}", cls, **_values(section, table, f"$.{key}", cls))
     noise = _build("$", NoiseParams, **_values(doc, NOISE_KEYS, "$"))
-    loop = _build("$", LoopConfig, **_values(doc, LOOP_KEYS, "$"),
-                  som_params=sections["som"], nfis_params=sections["nfis"])
-
-    bin_schedule = doc.get("bin_schedule", loop.bins)
-    if isinstance(bin_schedule, list):
-        if len(bin_schedule) != loop.iterations:
-            raise ConfigError(f"$.bin_schedule: a list needs one bin count per iteration "
-                              f"({loop.iterations}), got {len(bin_schedule)}")
-        bin_schedule = [_number(b, f"$.bin_schedule[{i}]", int, 2) for i, b in enumerate(bin_schedule)]
-    else:
-        bin_schedule = _number(bin_schedule, "$.bin_schedule", int, 2)
+    loop = _build("$", LoopConfig, **_values(doc, LOOP_KEYS, "$"), som=sections["som"], nfis=sections["nfis"])
 
     sweep_doc = doc.get("sweep")
     if sweep_doc is None:
@@ -162,6 +157,8 @@ def load_config(path) -> RunConfig:
         "gammas": (noise.gamma, float, None),
         "extras": (loop.n_rules, int, 1) if system == "sonfis" else (loop.bins, int, 2),
     }
+    if system == "sorst" and isinstance(loop.bins, tuple) and "extras" not in sweep_doc:
+        raise ConfigError("$.sweep.extras: required for a 'sorst' sweep when bins is a list")
     grid = {}
     for key, (default, kind, minimum) in axes.items():
         vals = sweep_doc.get(key, [default])
@@ -178,7 +175,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"$.sweep.burn_in: must be < iterations ({loop.iterations}), "
                           f"got {sweep_spec.burn_in}")
 
-    return RunConfig(src, sections["split"], noise, loop, bin_schedule, sweep_spec)
+    return RunConfig(src, sections["split"], noise, loop, sweep_spec)
 
 
 def _prepare_data(cfg: RunConfig) -> tuple[Dataset, Dataset]:
@@ -201,10 +198,8 @@ def _cmd_run(args, system: str) -> int:
     train, test = _prepare_data(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    if system == "sonfis":
-        traj = dynamics.run_sonfis(train, test, cfg.loop, cfg.noise)
-    else:
-        traj = dynamics.run_sorst_as(train, test, cfg.loop, cfg.noise, cfg.bin_schedule)
+    run = dynamics.run_sonfis if system == "sonfis" else dynamics.run_sorst_as
+    traj = run(train, test, cfg.loop, cfg.noise)
     traj.to_csv(outdir / f"trajectory_{system}.csv")
     (outdir / f"report_{system}.json").write_text(dynamics.trajectory_report(traj))
     return 0

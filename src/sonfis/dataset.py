@@ -92,8 +92,12 @@ def load_csv(path, decision_column: str) -> Dataset:
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        if len(set(header)) < len(header):
+            raise DatasetError(f"{path}: duplicate column names in header {header}")
         if decision_column not in header:
             raise DatasetError(f"unknown decision column {decision_column!r}; headers: {header}")
+        if len(header) == 1:
+            raise DatasetError(f"{path}: no input column besides the decision {decision_column!r}")
         dec_idx = header.index(decision_column)
         rows = []
         for r, cells in enumerate(reader, start=1):

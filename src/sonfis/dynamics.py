@@ -16,12 +16,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import nfis, rst
 from .dataset import Dataset
+from .nfis import NfisTrainParams
 from .som import SomParams, extract_granules, grid_dims, train_som
 
 
@@ -43,15 +44,17 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class LoopConfig:
+    """All a run reads besides its data and noise, named by the config
+    file's keys. `bins`: one SORST-AS bin count, or a tuple of one per step."""
     iterations: int = 30
     n_rules: int = 2
-    bins: int = 3
+    bins: int | tuple[int, ...] = 3
     n_min: int = 4
     n_max: int = 400
     initial_N: int = 100
-    som_params: SomParams = field(default_factory=SomParams)
-    nfis_params: nfis.NfisTrainParams = field(default_factory=nfis.NfisTrainParams)
     seed: int = 0
+    som: SomParams = field(default_factory=SomParams)
+    nfis: NfisTrainParams = field(default_factory=NfisTrainParams)
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -64,6 +67,13 @@ class LoopConfig:
             raise ValueError("initial_N must lie within [n_min, n_max]")
         if self.n_rules < 1:
             raise ValueError("n_rules must be >= 1")
+        if isinstance(self.bins, (list, tuple)):
+            object.__setattr__(self, "bins", tuple(self.bins))
+            if len(self.bins) != self.iterations:
+                raise ValueError(f"bins must list one count per iteration ({self.iterations}), "
+                                 f"got {len(self.bins)}")
+        if min(self.bins if isinstance(self.bins, tuple) else (self.bins,)) < 2:
+            raise ValueError(f"bins must be >= 2, got {self.bins}")
 
 
 @dataclass(frozen=True)
@@ -131,20 +141,21 @@ def _iter_seed(master: int, t: int, stream: int = 0) -> int:
 
 
 def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
-              extras: list[int], fit_eval, error_fn) -> Trajectory:
+              extras: int | tuple[int, ...], fit_eval, error_fn) -> Trajectory:
     """The close-open loop both systems share. Step t granulates `train`
     with a SOM of N_t neurons, measures E_t and applies the update law.
-    `fit_eval(granules, extras[t - 1], seed)` fits the second layer and
-    returns (E_t, model), or None when the granules are degenerate; E_t is
-    then carried forward from t - 1 (the std of the test decisions at t = 1).
+    `fit_eval(granules, extra, seed)` fits the second layer with the step's
+    entry of `extras` (one count, or a tuple of one per step) and returns
+    (E_t, model), or None when the granules are degenerate; E_t is then
+    carried forward from t - 1 (the std of the test decisions at t = 1).
     `error_fn(t, granules)`, when given, replaces the second layer."""
     points: list[TrajectoryPoint] = []
     N = cfg.initial_N
     final_model = None
-    for t, extra in enumerate(extras, start=1):
+    for t in range(1, cfg.iterations + 1):
+        extra = extras[t - 1] if isinstance(extras, tuple) else extras
         dims = grid_dims(N)
-        params = replace(cfg.som_params, seed=_iter_seed(cfg.seed, t))
-        grid = train_som(train, dims, params)
+        grid = train_som(train, dims, cfg.som, _iter_seed(cfg.seed, t))
         granules = extract_granules(grid, train)
         if error_fn is not None:
             E = float(error_fn(t, granules))
@@ -173,25 +184,18 @@ def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
         if len(granules) < n_rules:
             return None
         fis = nfis.init_rulebase(granules, n_rules, seed=seed)
-        fis = nfis.train_hybrid(fis, granules, cfg.nfis_params)
+        fis = nfis.train_hybrid(fis, granules, cfg.nfis)
         return nfis.rmse(fis, test, train.y.min(), train.y.max()), fis
 
-    return _run_loop(train, test, cfg, p, [cfg.n_rules] * cfg.iterations, fit_eval, error_fn)
+    return _run_loop(train, test, cfg, p, cfg.n_rules, fit_eval, error_fn)
 
 
 def run_sorst_as(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
-                 bin_schedule, error_fn=None) -> Trajectory:
+                 error_fn=None) -> Trajectory:
     """Close-open loop with the rough second layer: granules are discretized
-    by per-attribute 1-D SOM scaling with the step's bin count, rules are
-    induced, and E_t is the classifier MSE on the test data. `bin_schedule`
-    is one count reused each step or a list of length `iterations`."""
-    if isinstance(bin_schedule, int):
-        schedule = [bin_schedule] * cfg.iterations
-    else:
-        schedule = [int(b) for b in bin_schedule]
-        if len(schedule) != cfg.iterations:
-            raise ValueError(f"bin_schedule length {len(schedule)} != iterations {cfg.iterations}")
-
+    by per-attribute 1-D SOM scaling with the step's bin count from
+    `cfg.bins`, rules are induced, and E_t is the classifier MSE on the test
+    data. `error_fn` is the hook of `run_sonfis`."""
     def fit_eval(granules, bins, seed):
         gran_ds = Dataset(granules.inputs, granules.decisions, list(train.attribute_names))
         try:
@@ -201,7 +205,7 @@ def run_sorst_as(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
         rules = rst.induce_rules(rst.apply_scaling(scaling, gran_ds), scaling)
         return rst.mse(rules, test), rules
 
-    return _run_loop(train, test, cfg, p, schedule, fit_eval, error_fn)
+    return _run_loop(train, test, cfg, p, cfg.bins, fit_eval, error_fn)
 
 
 LAMINAR_CV = 0.05
@@ -229,18 +233,12 @@ def order_metrics(traj: Trajectory, burn_in: int = 0) -> OrderMetrics:
 
 
 def trajectory_report(traj: Trajectory) -> str:
-    """JSON run report: config echo, noise parameters, order metrics, and
-    the final second-layer model when one was fitted."""
+    """JSON run report: the `LoopConfig` as it is, noise parameters, order
+    metrics, and the final second-layer model when one was fitted."""
     model = traj.final_model
     model_doc = None if model is None else json.loads(model.to_json())
-    # The config echo uses the config file's keys: the loop's scalars, then
-    # the "som" and "nfis" sections. The SOM seed is drawn per step, so it
-    # is left out.
-    config = asdict(traj.config)
-    som, nfis_params = config.pop("som_params"), config.pop("nfis_params")
-    del som["seed"]
     doc = {
-        "config": {**config, "som": som, "nfis": nfis_params},
+        "config": asdict(traj.config),
         "noise": asdict(traj.params),
         "order_metrics": asdict(order_metrics(traj)),
         "final_model": model_doc,

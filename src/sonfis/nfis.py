@@ -108,6 +108,12 @@ def _consequent_values(fis: FuzzyRuleBase, X: np.ndarray) -> np.ndarray:
     return X @ fis.coeffs[:, :-1].T + fis.coeffs[:, -1]
 
 
+def _nearest_rule(fis: FuzzyRuleBase, X: np.ndarray) -> np.ndarray:
+    """Index of the rule center nearest each row of `X`, (n,): the fallback
+    for rows whose total firing strength underflows to zero."""
+    return np.argmin(((X[:, None, :] - fis.centers[None, :, :]) ** 2).sum(axis=2), axis=1)
+
+
 def predict(fis: FuzzyRuleBase, X: np.ndarray) -> np.ndarray:
     """Weighted-average defuzzification over all rules; rows whose total
     firing strength underflows to zero fall back to the nearest-center
@@ -120,8 +126,7 @@ def predict(fis: FuzzyRuleBase, X: np.ndarray) -> np.ndarray:
     ok = sw > 0
     out[ok] = (w[ok] * f[ok]).sum(axis=1) / sw[ok]
     if (~ok).any():
-        d2 = ((X[~ok, None, :] - fis.centers[None, :, :]) ** 2).sum(axis=2)
-        out[~ok] = f[~ok, np.argmin(d2, axis=1)]
+        out[~ok] = f[~ok, _nearest_rule(fis, X[~ok])]
     return out
 
 
@@ -131,8 +136,8 @@ def infer(fis: FuzzyRuleBase, x) -> float:
 
 def _solve_consequents(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Least-squares consequents on the weight-normalized design. Rows with
-    underflowed firing use a one-hot weight on the nearest rule, matching
-    the inference fallback. Minimum-norm solution when rank-deficient."""
+    underflowed firing use a one-hot weight on `_nearest_rule`, the
+    inference fallback. Minimum-norm solution when rank-deficient."""
     n, d = X.shape
     R = fis.n_rules
     w = _firing(fis, X)
@@ -141,8 +146,7 @@ def _solve_consequents(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray) -> np.n
     ok = sw > 0
     wn[ok] = w[ok] / sw[ok, None]
     if (~ok).any():
-        d2 = ((X[~ok, None, :] - fis.centers[None, :, :]) ** 2).sum(axis=2)
-        wn[np.nonzero(~ok)[0], np.argmin(d2, axis=1)] = 1.0
+        wn[np.nonzero(~ok)[0], _nearest_rule(fis, X[~ok])] = 1.0
     X1 = np.column_stack([X, np.ones(n)])
     design = (wn[:, :, None] * X1[:, None, :]).reshape(n, R * (d + 1))
     sol, *_ = np.linalg.lstsq(design, t, rcond=None)

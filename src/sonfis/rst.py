@@ -7,7 +7,7 @@ resulting classifier with its MSE performance measure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,7 +142,7 @@ def fit_scaling(train: Dataset, bins: int, seed: int) -> ScalingMap:
         if values.max() <= values.min():
             raise ScalingError(f"constant attribute {name!r}")
         ds1 = Dataset(values[:, None], np.zeros(len(values)), [name, "d"])
-        grid = train_som(ds1, (1, bins), replace(SCALING_SOM, seed=sub_seed))
+        grid = train_som(ds1, (1, bins), SCALING_SOM, sub_seed)
         cb = np.sort(grid.prototypes[:, 0])
         if not (np.diff(cb) > 0).all():
             raise ScalingError(f"degenerate codebook for attribute {name!r}")

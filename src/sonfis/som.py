@@ -23,7 +23,6 @@ class SomParams:
     epochs: int = 10
     initial_radius: float | None = None  # None: max(n1, n2) / 2
     final_radius: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -83,13 +82,13 @@ def _grid_chebyshev(n1: int, n2: int) -> np.ndarray:
     return np.maximum(dr, dc).astype(np.float64)
 
 
-def train_som(train: Dataset, dims: tuple[int, int], params: SomParams) -> SomGrid:
+def train_som(train: Dataset, dims: tuple[int, int], params: SomParams, seed: int) -> SomGrid:
     if len(train) == 0:
         raise ValueError("cannot train a SOM on an empty dataset")
     n1, n2 = dims
     N = n1 * n2
     data = np.ascontiguousarray(train.X, dtype=np.float64)
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     # Sample initial prototypes from the distinct records when possible:
     # identical initial prototypes cannot separate under the batch update.
     # np.unique sorts, which also keeps initialization independent of

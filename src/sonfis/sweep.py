@@ -104,11 +104,10 @@ def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
             for rep in range(spec.repeats):
                 seed = _cell_seed(spec.base_config.seed, cell_index, rep)
                 if spec.system == "sonfis":
-                    cfg = replace(spec.base_config, n_rules=extra, seed=seed)
-                    traj = run_sonfis(train, test, cfg, p, error_fn=error_fn)
+                    cfg, run = replace(spec.base_config, n_rules=extra, seed=seed), run_sonfis
                 else:
-                    cfg = replace(spec.base_config, bins=extra, seed=seed)
-                    traj = run_sorst_as(train, test, cfg, p, extra, error_fn=error_fn)
+                    cfg, run = replace(spec.base_config, bins=extra, seed=seed), run_sorst_as
+                traj = run(train, test, cfg, p, error_fn=error_fn)
                 metrics.append(order_metrics(traj, burn_in=spec.burn_in))
                 if trajs is not None:
                     trajs.append(traj)

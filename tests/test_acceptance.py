@@ -69,7 +69,7 @@ def small_data():
 
 
 def stub_config(**overrides):
-    base = dict(iterations=40, initial_N=100, n_min=2, seed=11, som_params=SomParams(epochs=2))
+    base = dict(iterations=40, initial_N=100, n_min=2, seed=11, som=SomParams(epochs=2))
     base.update(overrides)
     return LoopConfig(**base)
 
@@ -334,7 +334,7 @@ class TestCriterion7:
 class TestCriterion8:
     def test_single_neuron_centroid(self):
         ds = min_max_normalize(gen_synthetic(150, 0.1, 12))
-        grid = train_som(ds, (1, 1), SomParams(epochs=5, seed=0))
+        grid = train_som(ds, (1, 1), SomParams(epochs=5), seed=0)
         dev = float(np.abs(grid.prototypes[0] - ds.X.mean(axis=0)).max())
         ok = dev < 1e-9
         report(8, ok, f"single-neuron deviation from centroid={dev:.2e}")
@@ -349,7 +349,7 @@ class TestCriterion8:
             rng = np.random.default_rng(seed)
             uniq = np.unique(ds.X, axis=0)
             init = SomGrid(*dims, uniq[rng.choice(len(uniq), size=N, replace=False)].copy())
-            trained = train_som(ds, dims, SomParams(epochs=10, seed=seed))
+            trained = train_som(ds, dims, SomParams(epochs=10), seed=seed)
             worst = max(worst, quantization_error(trained, ds) - quantization_error(init, ds))
         ok = worst <= 0.0
         report(8, ok, f"max(QE_final - QE_initial) over 10 datasets={worst:.4f}")

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,13 +52,22 @@ BAD_CONFIGS = [
     pytest.param("run-sonfis", {"som": {"initial_radius": 0.1}}, "$.som: initial_radius",
                  id="initial-radius-below-final"),
     pytest.param("sweep", {"sweep": {"system": "foo"}}, "$.sweep.system:", id="unknown-system"),
-    pytest.param("run-sorst", {"bin_schedule": [3, 3]}, "$.bin_schedule:", id="bin-schedule-length"),
+    pytest.param("run-sorst", {"bins": [3, 3]}, "$: bins must list", id="bins-length"),
+    pytest.param("run-sorst", {"bins": [2, 2.5, 3, 3]}, "$.bins[1]:", id="bins-entry-not-integer"),
+    pytest.param("run-sorst", {"bin_schedule": [2, 5, 5, 5]}, "$.bin_schedule: unknown key",
+                 id="bin-schedule-unknown"),
     # Values that would run with every cell failed or every step a fallback.
     pytest.param("sweep", {"sweep": {"burn_in": 100}}, "$.sweep.burn_in:", id="burn-in-past-end"),
     pytest.param("sweep", {"sweep": {"extras": [1.5]}}, "$.sweep.extras[0]:", id="extras-not-integer"),
-    pytest.param("run-sorst", {"bin_schedule": True}, "$.bin_schedule:", id="bin-schedule-bool"),
+    pytest.param("run-sorst", {"bins": True}, "$.bins:", id="bins-bool"),
     pytest.param("sweep", {"sweep": {"system": "sorst", "extras": [1]}}, "$.sweep.extras[0]:",
                  id="sorst-one-bin"),
+    pytest.param("sweep", {"bins": [2, 3, 3, 3], "sweep": {"system": "sorst"}}, "$.sweep.extras:",
+                 id="sorst-bins-list-without-extras"),
+    # Counts no step or repeat list can hold; every command checks the sweep.
+    pytest.param("run-sonfis", {"iterations": 1e308}, "$.iterations:", id="iterations-above-maxsize"),
+    pytest.param("run-sonfis", {"sweep": {"repeats": sys.maxsize + 1}}, "$.sweep.repeats:",
+                 id="repeats-above-maxsize"),
     # Seeds below 0, which NumPy's seed sequences would reject only at run time.
     pytest.param("sweep", {"seed": -1}, "$.seed:", id="seed-negative"),
     pytest.param("run-sonfis", {"dataset": {"synthetic": {"seed": -1}}}, "$.dataset.synthetic.seed:",
@@ -69,7 +79,7 @@ BAD_CONFIGS = [
 # Every key a config can set, as its path from the root.
 CONFIG_PATHS = [
     *[(key,) for key in ("alpha", "beta", "gamma", "iterations", "n_rules", "bins", "n_min", "n_max",
-                         "initial_N", "seed", "bin_schedule", "dataset", "split", "som", "nfis", "sweep")],
+                         "initial_N", "seed", "dataset", "split", "som", "nfis", "sweep")],
     *[("dataset", key) for key in ("csv", "decision_column", "synthetic")],
     *[("dataset", "synthetic", key) for key in ("n", "noise_sd", "seed")],
     *[("split", key) for key in ("n_train", "n_test", "shuffle_seed")],
@@ -217,28 +227,36 @@ class TestExecute:
         assert execute(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert len((out / "sweep.csv").read_text().splitlines()) == 2
 
-    def test_sweep_with_every_cell_failed_exits_1(self, tmp_path, capsys):
-        # 1e308 iterations pass the config check but overflow the run's
-        # step list, so the only cell fails.
-        cfg = write_config(tmp_path, dict(SMALL, iterations=1e308))
+    def test_sweep_with_every_cell_failed_exits_1(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr("sonfis.sweep.run_sonfis", fail)
+        cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "out"
         assert execute(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert (out / "sweep.csv").read_text().splitlines() == [
             "alpha,beta,gamma,extra,repeat,mean_NG,std_NG,mean_E,regime"]
-        assert capsys.readouterr().err.startswith("runtime error: OverflowError: ")
+        assert capsys.readouterr().err.startswith("runtime error: RuntimeError: cell failed")
 
-    def test_report_echo_loads_as_the_run_config(self, tmp_path):
-        doc = dict(SMALL, alpha=0.85, beta=0.2, gamma=1.5, seed=4, bins=4,
+    @pytest.mark.parametrize("command", ["run-sonfis", "run-sorst"])
+    def test_report_echo_loads_as_the_run_config(self, tmp_path, command):
+        doc = dict(SMALL, alpha=0.85, beta=0.2, gamma=1.5, seed=4, bins=[2, 5, 5, 5],
                    som={"epochs": 2, "initial_radius": 3.0, "final_radius": 0.7},
                    nfis={"epochs": 2, "premise_learning_rate": 0.1})
         cfg = write_config(tmp_path, doc)
-        out = tmp_path / "out"
-        assert execute(["run-sonfis", "--config", str(cfg), "--out", str(out)]) == 0
-        report = json.loads((out / "report_sonfis.json").read_text())
-        echo = load_config(write_config(tmp_path, {**report["config"], **report["noise"]}, "echo.json"))
-        run = load_config(cfg)
+        system = command.split("-")[1]
+        out, rerun = tmp_path / "out", tmp_path / "rerun"
+        assert execute([command, "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / f"report_{system}.json").read_text())
+        echo_doc = {**report["config"], **report["noise"], "dataset": doc["dataset"], "split": doc["split"]}
+        echo_cfg = write_config(tmp_path, echo_doc, "echo.json")
+        echo, run = load_config(echo_cfg), load_config(cfg)
         assert echo.loop == run.loop
         assert echo.noise == run.noise
+        assert execute([command, "--config", str(echo_cfg), "--out", str(rerun)]) == 0
+        name = f"trajectory_{system}.csv"
+        assert (rerun / name).read_bytes() == (out / name).read_bytes()
 
     def test_missing_csv_exits_3(self, tmp_path, capsys):
         doc = {"dataset": {"csv": str(tmp_path / "absent.csv"), "decision_column": "q"}}

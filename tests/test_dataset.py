@@ -55,6 +55,16 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="row 2"):
             load_csv(p, "q")
 
+    def test_decision_only_rejected(self, tmp_path):
+        p = write(tmp_path, "y\n" + "".join(f"{i}\n" for i in range(200)))
+        with pytest.raises(DatasetError, match="no input column"):
+            load_csv(p, "y")
+
+    def test_duplicate_header_rejected(self, tmp_path):
+        p = write(tmp_path, "x,y,y\n1,2,3\n4,5,6\n")
+        with pytest.raises(DatasetError, match="duplicate column names"):
+            load_csv(p, "y")
+
 
 class TestNormalize:
     def test_affine_map(self):

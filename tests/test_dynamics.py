@@ -63,7 +63,7 @@ class TestUpdateNeuronCount:
 class TestRunSonfis:
     def test_trajectory_shape(self, small_data):
         train, test = small_data
-        cfg = LoopConfig(iterations=5, initial_N=20, seed=1, som_params=SomParams(epochs=3))
+        cfg = LoopConfig(iterations=5, initial_N=20, seed=1, som=SomParams(epochs=3))
         traj = run_sonfis(train, test, cfg, NoiseParams(0.9, 0.001, 0.5))
         assert len(traj) == 5
         assert [p.t for p in traj.points] == [1, 2, 3, 4, 5]
@@ -74,7 +74,7 @@ class TestRunSonfis:
 
     def test_determinism(self, small_data):
         train, test = small_data
-        cfg = LoopConfig(iterations=6, initial_N=30, seed=9, som_params=SomParams(epochs=3))
+        cfg = LoopConfig(iterations=6, initial_N=30, seed=9, som=SomParams(epochs=3))
         p = NoiseParams(0.85, 0.001, 0.5)
         t1 = run_sonfis(train, test, cfg, p)
         t2 = run_sonfis(train, test, cfg, p)
@@ -82,7 +82,7 @@ class TestRunSonfis:
 
     def test_stub_matches_direct_iteration(self, small_data):
         train, test = small_data
-        cfg = LoopConfig(iterations=25, initial_N=100, n_min=2, seed=0, som_params=SomParams(epochs=2))
+        cfg = LoopConfig(iterations=25, initial_N=100, n_min=2, seed=0, som=SomParams(epochs=2))
         p = NoiseParams(0.9, 0.001, 0.5)
         traj = run_sonfis(train, test, cfg, p, error_fn=lambda t, g: 10.0)
         assert [pt.N for pt in traj.points] == direct_iteration(100, 10.0, p, 2, 400, 25)
@@ -106,11 +106,11 @@ class TestRunSonfis:
         som = SomParams(epochs=2)
         p = NoiseParams(0.9, 0.001, 0.5)
         if system == "sonfis":
-            cfg = LoopConfig(iterations=3, initial_N=4, n_rules=50, seed=2, som_params=som)
+            cfg = LoopConfig(iterations=3, initial_N=4, n_rules=50, seed=2, som=som)
             traj = run_sonfis(train, test, cfg, p)
         else:
-            cfg = LoopConfig(iterations=3, initial_N=4, n_min=4, n_max=4, bins=8, seed=2, som_params=som)
-            traj = run_sorst_as(train, test, cfg, p, cfg.bins)
+            cfg = LoopConfig(iterations=3, initial_N=4, n_min=4, n_max=4, bins=8, seed=2, som=som)
+            traj = run_sorst_as(train, test, cfg, p)
         expected = float(np.std(test.y))
         assert all(pt.E == expected for pt in traj.points)
         assert traj.final_model is None
@@ -120,7 +120,7 @@ def test_systems_share_granulation(small_data):
     # same config and stub: only the second layer differs between the two
     # systems, so the granulation and the update law see identical inputs
     train, test = small_data
-    cfg = LoopConfig(iterations=8, initial_N=30, n_min=2, seed=4, som_params=SomParams(epochs=2))
+    cfg = LoopConfig(iterations=8, initial_N=30, n_min=2, seed=4, som=SomParams(epochs=2))
     p = NoiseParams(0.8, 0.5, 1.0)
 
     def stub(t, granules):
@@ -130,7 +130,7 @@ def test_systems_share_granulation(small_data):
         return [(pt.t, pt.N, pt.dims, pt.live_granules, pt.E) for pt in traj.points]
 
     a = run_sonfis(train, test, cfg, p, error_fn=stub)
-    b = run_sorst_as(train, test, cfg, p, cfg.bins, error_fn=stub)
+    b = run_sorst_as(train, test, cfg, p, error_fn=stub)
     assert series(a) == series(b)
     assert len({pt.N for pt in a.points}) > 1
 
@@ -138,31 +138,34 @@ def test_systems_share_granulation(small_data):
 class TestRunSorstAs:
     def test_seven_steps_schedule(self, small_data):
         train, test = small_data
-        cfg = LoopConfig(iterations=7, initial_N=30, seed=3, som_params=SomParams(epochs=3))
         schedule = [2, 3, 4, 5, 6, 7, 8]
-        traj = run_sorst_as(train, test, cfg, NoiseParams(0.9, 0.7, 1.0), schedule)
+        cfg = LoopConfig(iterations=7, initial_N=30, seed=3, som=SomParams(epochs=3), bins=schedule)
+        traj = run_sorst_as(train, test, cfg, NoiseParams(0.9, 0.7, 1.0))
         assert len(traj) == 7
         assert [p.extra for p in traj.points] == schedule
 
-    def test_schedule_length_mismatch(self, small_data):
-        train, test = small_data
-        cfg = LoopConfig(iterations=7, seed=0)
-        with pytest.raises(ValueError, match="bin_schedule"):
-            run_sorst_as(train, test, cfg, NoiseParams(0.9, 0.7, 1.0), [2, 3])
+    def test_schedule_length_mismatch(self):
+        with pytest.raises(ValueError, match="bins"):
+            LoopConfig(iterations=7, seed=0, bins=[2, 3])
+
+    @pytest.mark.parametrize("bins", [1, [2, 1, 3]], ids=["scalar", "list-entry"])
+    def test_bin_count_below_two(self, bins):
+        with pytest.raises(ValueError, match="bins must be >= 2"):
+            LoopConfig(iterations=3, bins=bins)
 
     def test_stub_matches_direct_iteration(self, small_data):
         train, test = small_data
-        cfg = LoopConfig(iterations=10, initial_N=50, n_min=2, seed=4, som_params=SomParams(epochs=2))
+        cfg = LoopConfig(iterations=10, initial_N=50, n_min=2, bins=3, seed=4, som=SomParams(epochs=2))
         p = NoiseParams(0.8, 0.01, 1.0)
-        traj = run_sorst_as(train, test, cfg, p, 3, error_fn=lambda t, g: 5.0)
+        traj = run_sorst_as(train, test, cfg, p, error_fn=lambda t, g: 5.0)
         assert [pt.N for pt in traj.points] == direct_iteration(50, 5.0, p, 2, 400, 10)
 
     def test_determinism(self, small_data):
         train, test = small_data
-        cfg = LoopConfig(iterations=5, initial_N=25, seed=6, som_params=SomParams(epochs=3))
+        cfg = LoopConfig(iterations=5, initial_N=25, bins=4, seed=6, som=SomParams(epochs=3))
         p = NoiseParams(0.9, 0.7, 1.0)
-        t1 = run_sorst_as(train, test, cfg, p, 4)
-        t2 = run_sorst_as(train, test, cfg, p, 4)
+        t1 = run_sorst_as(train, test, cfg, p)
+        t2 = run_sorst_as(train, test, cfg, p)
         assert t1.points == t2.points
 
 
@@ -224,7 +227,7 @@ class TestSerialization:
         import json
 
         train, test = small_data
-        cfg = LoopConfig(iterations=3, initial_N=9, seed=1, som_params=SomParams(epochs=2))
+        cfg = LoopConfig(iterations=3, initial_N=9, seed=1, som=SomParams(epochs=2))
         traj = run_sonfis(train, test, cfg, NoiseParams(0.9, 0.001, 0.5))
         doc = json.loads(trajectory_report(traj))
         assert doc["config"]["iterations"] == 3

@@ -40,20 +40,20 @@ def small_dataset(n=50, seed=0):
 class TestTrainSom:
     def test_single_neuron_is_centroid(self):
         ds = small_dataset()
-        grid = train_som(ds, (1, 1), SomParams(epochs=5, seed=1))
+        grid = train_som(ds, (1, 1), SomParams(epochs=5), seed=1)
         assert np.allclose(grid.prototypes[0], ds.X.mean(axis=0), atol=1e-12)
 
     def test_repeated_point_collapses_all_prototypes(self):
         X = np.tile([0.3, 0.7], (20, 1))
         ds = Dataset(X, np.zeros(20))
-        grid = train_som(ds, (2, 2), SomParams(epochs=10, seed=2))
+        grid = train_som(ds, (2, 2), SomParams(epochs=10), seed=2)
         assert np.allclose(grid.prototypes, [0.3, 0.7])
 
     def test_determinism(self):
         ds = small_dataset()
-        p = SomParams(epochs=8, seed=42)
-        g1 = train_som(ds, (3, 4), p)
-        g2 = train_som(ds, (3, 4), p)
+        p = SomParams(epochs=8)
+        g1 = train_som(ds, (3, 4), p, seed=42)
+        g2 = train_som(ds, (3, 4), p, seed=42)
         assert np.array_equal(g1.prototypes, g2.prototypes)
         gs1, gs2 = extract_granules(g1, ds), extract_granules(g2, ds)
         assert np.array_equal(gs1.inputs, gs2.inputs)
@@ -64,15 +64,15 @@ class TestTrainSom:
         ds = small_dataset()
         perm = np.random.default_rng(5).permutation(len(ds))
         shuffled = Dataset(ds.X[perm], ds.y[perm])
-        p = SomParams(epochs=6, seed=3)
-        g1 = train_som(ds, (2, 3), p)
-        g2 = train_som(shuffled, (2, 3), p)
+        p = SomParams(epochs=6)
+        g1 = train_som(ds, (2, 3), p, seed=3)
+        g2 = train_som(shuffled, (2, 3), p, seed=3)
         assert np.allclose(g1.prototypes, g2.prototypes)
 
     def test_empty_dataset_rejected(self):
         ds = Dataset(np.empty((0, 2)), np.empty(0))
         with pytest.raises(ValueError):
-            train_som(ds, (1, 1), SomParams())
+            train_som(ds, (1, 1), SomParams(), seed=0)
 
 
 class TestQuantizationError:
@@ -91,14 +91,14 @@ class TestQuantizationError:
         dims = (3, 3)
         rng = np.random.default_rng(9)
         init = SomGrid(*dims, ds.X[rng.integers(0, len(ds), 9)].copy())
-        trained = train_som(ds, dims, SomParams(epochs=15, seed=9))
+        trained = train_som(ds, dims, SomParams(epochs=15), seed=9)
         assert quantization_error(trained, ds) <= quantization_error(init, ds)
 
 
 class TestExtractGranules:
     def test_single_neuron_mean_decision(self):
         ds = Dataset(np.array([[0.1], [0.9]]), np.array([2.0, 4.0]))
-        grid = train_som(ds, (1, 1), SomParams(epochs=3, seed=0))
+        grid = train_som(ds, (1, 1), SomParams(epochs=3), seed=0)
         gs = extract_granules(grid, ds)
         assert len(gs) == 1
         assert gs.decisions[0] == pytest.approx(3.0)
@@ -108,14 +108,14 @@ class TestExtractGranules:
         rng = np.random.default_rng(4)
         X = np.vstack([rng.normal(0.1, 0.01, (20, 2)), rng.normal(0.9, 0.01, (20, 2))])
         ds = Dataset(np.clip(X, 0, 1), np.r_[np.zeros(20), np.ones(20)])
-        grid = train_som(ds, (3, 3), SomParams(epochs=20, final_radius=0.5, seed=4))
+        grid = train_som(ds, (3, 3), SomParams(epochs=20, final_radius=0.5), seed=4)
         gs = extract_granules(grid, ds)
         assert 1 <= len(gs) <= 9
         assert (gs.support >= 1).all()
 
     def test_support_partitions_training_set(self):
         ds = small_dataset(80, 7)
-        grid = train_som(ds, (3, 3), SomParams(epochs=10, seed=7))
+        grid = train_som(ds, (3, 3), SomParams(epochs=10), seed=7)
         gs = extract_granules(grid, ds)
         assert gs.support.sum() == len(ds)
 
@@ -123,14 +123,14 @@ class TestExtractGranules:
     @settings(max_examples=20, deadline=None)
     def test_support_partition_property(self, seed):
         ds = small_dataset(40, seed)
-        grid = train_som(ds, (2, 2), SomParams(epochs=5, seed=seed))
+        grid = train_som(ds, (2, 2), SomParams(epochs=5), seed=seed)
         gs = extract_granules(grid, ds)
         assert (gs.support >= 1).all()
         assert gs.support.sum() == len(ds)
 
     def test_granule_csv(self, tmp_path):
         ds = small_dataset(30, 2)
-        grid = train_som(ds, (2, 2), SomParams(epochs=5, seed=2))
+        grid = train_som(ds, (2, 2), SomParams(epochs=5), seed=2)
         gs = extract_granules(grid, ds)
         path = tmp_path / "granules.csv"
         gs.to_csv(path)

@@ -22,7 +22,7 @@ def tiny_data():
 
 
 def stub_spec(alphas=(0.7, 0.8, 0.9), gammas=(0.5,), repeats=1, burn_in=0):
-    cfg = LoopConfig(iterations=40, initial_N=100, n_min=2, seed=11, som_params=SomParams(epochs=2))
+    cfg = LoopConfig(iterations=40, initial_N=100, n_min=2, seed=11, som=SomParams(epochs=2))
     return SweepSpec(alphas, (0.001,), gammas, (2,), repeats, cfg, "sonfis", burn_in)
 
 
