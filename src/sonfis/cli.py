@@ -36,8 +36,8 @@ class ConfigError(ValueError):
 # Each config section's numeric keys as {key: (kind, minimum[, maximum])}; a
 # key the file leaves out takes the default of the parameter object it builds.
 NOISE_KEYS = {"alpha": (float, 0.0), "beta": (float, 0.0), "gamma": (float, None)}
-LOOP_KEYS = {"iterations": (int, 1, sys.maxsize), "n_rules": (int, 1), "bins": (tuple, 2),
-             "n_min": (int, 2), "n_max": (int, 2), "initial_N": (int, 1), "seed": (int, 0)}
+LOOP_KEYS = {"iterations": (int, 1, sys.maxsize), "n_rules": (int, 1), "bins": (tuple, 2, sys.maxsize),
+             "n_min": (int, 2), "n_max": (int, 2, sys.maxsize), "initial_N": (int, 1), "seed": (int, 0)}
 SPLIT_KEYS = {"n_train": (int, 1), "n_test": (int, 1), "shuffle_seed": (int, 0)}
 SOM_KEYS = {"epochs": (int, 1), "initial_radius": (float, 0.0), "final_radius": (float, None)}
 NFIS_KEYS = {"epochs": (int, 1), "premise_learning_rate": (float, None)}
@@ -155,16 +155,16 @@ def load_config(path) -> RunConfig:
         "alphas": (noise.alpha, float, 0.0),
         "betas": (noise.beta, float, 0.0),
         "gammas": (noise.gamma, float, None),
-        "extras": (loop.n_rules, int, 1) if system == "sonfis" else (loop.bins, int, 2),
+        "extras": (loop.n_rules, int, 1) if system == "sonfis" else (loop.bins, int, 2, sys.maxsize),
     }
     if system == "sorst" and isinstance(loop.bins, tuple) and "extras" not in sweep_doc:
         raise ConfigError("$.sweep.extras: required for a 'sorst' sweep when bins is a list")
     grid = {}
-    for key, (default, kind, minimum) in axes.items():
+    for key, (default, kind, *bounds) in axes.items():
         vals = sweep_doc.get(key, [default])
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"$.sweep.{key}: must be a non-empty list")
-        checked = [_number(v, f"$.sweep.{key}[{i}]", kind, minimum) for i, v in enumerate(vals)]
+        checked = [_number(v, f"$.sweep.{key}[{i}]", kind, *bounds) for i, v in enumerate(vals)]
         # Parameter values keep their JSON form, so an integer alpha is
         # written to sweep.csv as `1`, not `1.0`.
         grid[key] = tuple(checked if kind is int else vals)

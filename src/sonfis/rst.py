@@ -12,7 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .som import SomParams, train_som
+from .som import SomParams, train_column_soms, train_som  # noqa: F401
+
+# `train_som` is imported only so that `rst.train_som` still resolves:
+# perfbench/layers.py wraps it by that name on every traced workload.
 
 
 class ScalingError(ValueError):
@@ -133,28 +136,22 @@ class RuleSet:
 
 def fit_scaling(train: Dataset, bins: int, seed: int) -> ScalingMap:
     """Learn per-attribute bin codebooks with 1-D batch SOMs (dims (1, bins))
-    over each attribute's scalar values, decision included, then sort each
-    codebook ascending."""
+    over each attribute's scalar values, decision included, trained
+    together, then sort each codebook ascending. Attribute j's SOM is seeded
+    from `SeedSequence([seed, j])`. The first attribute, in column order,
+    that is constant or whose codebook has a repeated center raises
+    ScalingError."""
     if bins < 2:
         raise ScalingError("bins must be >= 2")
-
-    def fit_one(name: str, values: np.ndarray, sub_seed: int) -> np.ndarray:
-        if values.max() <= values.min():
+    values = np.column_stack([train.X, train.y])
+    seeds = [int(np.random.SeedSequence([seed, j]).generate_state(1)[0]) for j in range(values.shape[1])]
+    codebooks = np.sort(train_column_soms(values, bins, SCALING_SOM, seeds), axis=1)
+    for name, col, cb in zip(train.attribute_names, values.T, codebooks):
+        if col.max() <= col.min():
             raise ScalingError(f"constant attribute {name!r}")
-        ds1 = Dataset(values[:, None], np.zeros(len(values)), [name, "d"])
-        grid = train_som(ds1, (1, bins), SCALING_SOM, sub_seed)
-        cb = np.sort(grid.prototypes[:, 0])
         if not (np.diff(cb) > 0).all():
             raise ScalingError(f"degenerate codebook for attribute {name!r}")
-        return cb
-
-    input_cbs = []
-    for j in range(train.n_inputs):
-        sub_seed = int(np.random.SeedSequence([seed, j]).generate_state(1)[0])
-        input_cbs.append(fit_one(train.attribute_names[j], train.X[:, j], sub_seed))
-    dec_seed = int(np.random.SeedSequence([seed, train.n_inputs]).generate_state(1)[0])
-    dec_cb = fit_one(train.decision_name, train.y, dec_seed)
-    return ScalingMap(input_cbs, dec_cb)
+    return ScalingMap(list(codebooks[:-1]), codebooks[-1])
 
 
 def apply_scaling(scaling: ScalingMap, ds: Dataset) -> DecisionTable:
@@ -222,24 +219,34 @@ def induce_rules(table: DecisionTable, scaling: ScalingMap) -> RuleSet:
     return RuleSet(rules, scaling, default)
 
 
-def classify(rules: RuleSet, x) -> int:
-    """Discretize a raw input vector and classify it: exact pattern match
-    first, else the rule at minimal Hamming distance (ties toward larger
-    support, then higher decision); an empty rule set yields the default."""
-    pattern = tuple(map(int, rules.scaling.discretize_inputs(np.asarray(x, dtype=np.float64).reshape(1, -1))[0]))
+def classify_rows(rules: RuleSet, X) -> np.ndarray:
+    """Discretize raw input rows (n, a), or one vector, and classify each: the first rule in
+    rule order whose pattern matches exactly, else the rule at minimal
+    Hamming distance (ties toward larger support, then higher decision, then
+    the earlier rule); an empty rule set yields the default."""
+    patterns = rules.scaling.discretize_inputs(X)
     if not rules.rules:
-        return rules.default_decision
-    best_rule = None
-    best_key = None
-    for r in rules.rules:
-        dist = sum(p != q for p, q in zip(pattern, r.descriptors))
-        if dist == 0:
-            return r.decision
-        key = (dist, -r.support, -r.decision)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_rule = r
-    return best_rule.decision
+        return np.full(len(patterns), rules.default_decision, dtype=np.int64)
+    descriptors = np.array([r.descriptors for r in rules.rules], dtype=np.int64)
+    support = np.array([r.support for r in rules.rules], dtype=np.int64)
+    decision = np.array([r.decision for r in rules.rules], dtype=np.int64)
+    dist = np.zeros((len(patterns), len(descriptors)), dtype=np.int64)
+    for j in range(descriptors.shape[1]):
+        dist += patterns[:, j, None] != descriptors[None, :, j]
+    nearest = dist.min(axis=1)
+    best = dist == nearest[:, None]  # argmax below takes the first candidate
+    inexact = nearest > 0
+    candidates = best[inexact]
+    for key in (support, decision):
+        keyed = np.where(candidates, key, np.iinfo(np.int64).min)
+        candidates &= keyed == keyed.max(axis=1, keepdims=True)
+    best[inexact] = candidates
+    return decision[best.argmax(axis=1)]
+
+
+def classify(rules: RuleSet, x) -> int:
+    """Classify one raw input vector, as `classify_rows` does a row."""
+    return int(classify_rows(rules, x)[0])
 
 
 def mse(rules: RuleSet, test: Dataset) -> float:
@@ -248,5 +255,4 @@ def mse(rules: RuleSet, test: Dataset) -> float:
     if len(test) == 0:
         raise ValueError("empty test set")
     real = rules.scaling.discretize_decision(test.y)
-    classified = np.array([classify(rules, x) for x in test.X], dtype=np.int64)
-    return float(np.mean((real - classified) ** 2))
+    return float(np.mean((real - classify_rows(rules, test.X)) ** 2))

@@ -82,30 +82,37 @@ def _grid_chebyshev(n1: int, n2: int) -> np.ndarray:
     return np.maximum(dr, dc).astype(np.float64)
 
 
-def train_som(train: Dataset, dims: tuple[int, int], params: SomParams, seed: int) -> SomGrid:
-    if len(train) == 0:
-        raise ValueError("cannot train a SOM on an empty dataset")
-    n1, n2 = dims
-    N = n1 * n2
-    data = np.ascontiguousarray(train.X, dtype=np.float64)
+def _initial_prototypes(data: np.ndarray, N: int, seed: int) -> np.ndarray:
+    """N initial prototypes sampled from the distinct records when possible:
+    identical initial prototypes cannot separate under the batch update.
+    np.unique sorts, which also keeps initialization independent of record
+    order."""
     rng = np.random.default_rng(seed)
-    # Sample initial prototypes from the distinct records when possible:
-    # identical initial prototypes cannot separate under the batch update.
-    # np.unique sorts, which also keeps initialization independent of
-    # record order.
     uniq = np.unique(data, axis=0)
     if N <= len(uniq):
-        protos = uniq[rng.choice(len(uniq), size=N, replace=False)].copy()
-    else:
-        protos = uniq[rng.integers(0, len(uniq), size=N)].copy()
+        return uniq[rng.choice(len(uniq), size=N, replace=False)].copy()
+    return uniq[rng.integers(0, len(uniq), size=N)].copy()
 
+
+def _neighbourhoods(n1: int, n2: int, params: SomParams):
+    """Each epoch's (N, N) neighbourhood matrix, in epoch order."""
     cheb = _grid_chebyshev(n1, n2)
     r0 = params.initial_radius if params.initial_radius is not None else max(n1, n2) / 2.0
     r0 = max(r0, params.final_radius)
     for epoch in range(params.epochs):
         frac = epoch / (params.epochs - 1) if params.epochs > 1 else 0.0
         radius = r0 + (params.final_radius - r0) * frac
-        H = np.exp(-(cheb**2) / (2.0 * radius**2))
+        yield np.exp(-(cheb**2) / (2.0 * radius**2))
+
+
+def train_som(train: Dataset, dims: tuple[int, int], params: SomParams, seed: int) -> SomGrid:
+    if len(train) == 0:
+        raise ValueError("cannot train a SOM on an empty dataset")
+    n1, n2 = dims
+    N = n1 * n2
+    data = np.ascontiguousarray(train.X, dtype=np.float64)
+    protos = _initial_prototypes(data, N, seed)
+    for H in _neighbourhoods(n1, n2, params):
         bmus = kernels.assign_bmus(data, protos)
         sums, counts = kernels.accumulate_by_bmu(data, bmus, N)
         numer = H @ sums
@@ -113,6 +120,37 @@ def train_som(train: Dataset, dims: tuple[int, int], params: SomParams, seed: in
         live = denom > 0
         protos[live] = numer[live] / denom[live, None]
     return SomGrid(n1, n2, protos)
+
+
+def train_column_soms(data: np.ndarray, units: int, params: SomParams, seeds) -> np.ndarray:
+    """One 1-D SOM of dims (1, `units`) per column of `data` (n, c), all
+    trained together; column j seeded by `seeds[j]`. Returns the (c, units)
+    prototypes: row j equals, bit for bit, the prototypes of `train_som`
+    on column j alone."""
+    n, c = data.shape
+    if n == 0:
+        raise ValueError("cannot train a SOM on an empty dataset")
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    protos = np.empty((c, units))
+    for j, seed in enumerate(seeds):
+        protos[j] = _initial_prototypes(data[:, j:j + 1], units, seed)[:, 0]
+    offsets = np.arange(c) * units
+    values = data.ravel()
+    for H in _neighbourhoods(1, units, params):
+        d2 = data[:, :, None] - protos[None, :, :]
+        d2 *= d2
+        # Slot j*units + bmu: bincount adds each slot's records in record
+        # order, as accumulate_by_bmu does for one column.
+        slots = (d2.argmin(axis=2) + offsets).ravel()
+        sums = np.bincount(slots, weights=values, minlength=c * units).reshape(c, units, 1)
+        counts = np.bincount(slots, minlength=c * units).astype(np.float64).reshape(c, units, 1)
+        # A stack of matrix-vector products, one per column, as train_som
+        # computes them: one (units, c) matrix product may round otherwise.
+        numer = (H @ sums)[:, :, 0]
+        denom = (H @ counts)[:, :, 0]
+        live = denom > 0
+        protos[live] = numer[live] / denom[live]
+    return protos
 
 
 def quantization_error(grid: SomGrid, data: Dataset) -> float:

@@ -68,6 +68,12 @@ BAD_CONFIGS = [
     pytest.param("run-sonfis", {"iterations": 1e308}, "$.iterations:", id="iterations-above-maxsize"),
     pytest.param("run-sonfis", {"sweep": {"repeats": sys.maxsize + 1}}, "$.sweep.repeats:",
                  id="repeats-above-maxsize"),
+    # Counts no SOM can allocate.
+    pytest.param("run-sonfis", {"n_max": 1e308, "alpha": 1e308}, "$.n_max:", id="n-max-above-maxsize"),
+    pytest.param("run-sorst", {"bins": 1e308}, "$.bins:", id="bins-above-maxsize"),
+    pytest.param("run-sorst", {"bins": [2, 1e308, 3, 3]}, "$.bins[1]:", id="bins-entry-above-maxsize"),
+    pytest.param("sweep", {"sweep": {"system": "sorst", "extras": [3, 1e308]}}, "$.sweep.extras[1]:",
+                 id="sorst-extras-above-maxsize"),
     # Seeds below 0, which NumPy's seed sequences would reject only at run time.
     pytest.param("sweep", {"seed": -1}, "$.seed:", id="seed-negative"),
     pytest.param("run-sonfis", {"dataset": {"synthetic": {"seed": -1}}}, "$.dataset.synthetic.seed:",

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from sonfis.dataset import Dataset
 from sonfis.rst import (
+    SCALING_SOM,
+    DecisionRule,
     DecisionTable,
+    RuleSet,
     ScalingError,
     ScalingMap,
     apply_scaling,
@@ -17,6 +20,7 @@ from sonfis.rst import (
     induce_rules,
     mse,
 )
+from sonfis.som import train_som
 
 
 @pytest.fixture
@@ -71,6 +75,46 @@ class TestFitScaling:
         ds = Dataset(np.full((10, 1), 0.5), np.linspace(0, 1, 10))
         with pytest.raises(ScalingError, match="constant"):
             fit_scaling(ds, 2, seed=0)
+
+
+def column_codebook(col, bins, seed):
+    """One attribute's codebook from its own 1-D SOM, as `fit_scaling`
+    once trained each attribute."""
+    grid = train_som(Dataset(col[:, None], np.zeros(len(col))), (1, bins), SCALING_SOM, seed)
+    return np.sort(grid.prototypes[:, 0])
+
+
+class TestScalingParity:
+    """The stacked scaling SOMs give each attribute the codebook of its own
+    SOM, and fail on the same attribute for the same reason."""
+
+    @pytest.mark.parametrize("bins, distinct", [(2, None), (3, None), (5, None), (5, 4), (8, 6)])
+    def test_codebooks_equal_per_column_soms(self, bins, distinct):
+        rng = np.random.default_rng(bins)
+        if distinct is None:
+            X, y = rng.random((90, 3)), rng.random(90)
+        else:  # fewer distinct values than bins: initial prototypes repeat
+            X = rng.integers(0, distinct, (90, 3)) / (distinct - 1)
+            y = rng.integers(0, distinct, 90) / (distinct - 1)
+        sm = fit_scaling(Dataset(X, y), bins, seed=11)
+        codebooks = [*sm.input_codebooks, sm.decision_codebook]
+        for j, col in enumerate([*X.T, y]):
+            sub_seed = int(np.random.SeedSequence([11, j]).generate_state(1)[0])
+            assert codebooks[j].tobytes() == column_codebook(col, bins, sub_seed).tobytes()
+
+    def test_constant_column_named(self):
+        rng = np.random.default_rng(1)
+        X = np.column_stack([rng.random(40), np.full(40, 0.3), np.full(40, 0.6)])
+        with pytest.raises(ScalingError, match="constant attribute 'x2'"):
+            fit_scaling(Dataset(X, rng.random(40)), 3, seed=0)
+
+    def test_degenerate_column_named_before_a_later_constant_one(self):
+        # Two distinct values cannot fill 5 bins; x3 is constant, but x2
+        # comes first in column order.
+        rng = np.random.default_rng(2)
+        X = np.column_stack([rng.random(60), rng.integers(0, 2, 60), np.full(60, 0.5)])
+        with pytest.raises(ScalingError, match="degenerate codebook for attribute 'x2'"):
+            fit_scaling(Dataset(X, rng.random(60)), 5, seed=0)
 
 
 class TestApplyScaling:
@@ -221,6 +265,64 @@ class TestInduceClassify:
         if dependency_degree(table, [0]) == 1.0:
             for x, d in zip(X, table.decisions):
                 assert classify(rules, x) == d
+
+
+def ref_classify(rules, x):
+    """The per-rule classifier loop: the first exact match, else the least
+    (distance, -support, -decision), ties to the earlier rule."""
+    pattern = tuple(map(int, rules.scaling.discretize_inputs(np.asarray(x, dtype=np.float64).reshape(1, -1))[0]))
+    if not rules.rules:
+        return rules.default_decision
+    best_rule = None
+    best_key = None
+    for r in rules.rules:
+        dist = sum(p != q for p, q in zip(pattern, r.descriptors))
+        if dist == 0:
+            return r.decision
+        key = (dist, -r.support, -r.decision)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_rule = r
+    return best_rule.decision
+
+
+class TestClassifierParity:
+    """`classify` and `mse` against the per-rule loop, on rule sets drawn
+    from few patterns, supports and decisions, so ties in every key and
+    repeated patterns are common."""
+
+    SCALING = ScalingMap([np.array([0.0, 0.5, 1.0])] * 3, np.array([0.0, 0.5, 1.0]))
+
+    def random_rules(self, rng, n_rules):
+        rules = [DecisionRule(tuple(map(int, rng.integers(0, 3, 3))), int(rng.integers(0, 3)),
+                              int(rng.integers(1, 3)), bool(rng.integers(0, 2)))
+                 for _ in range(n_rules)]
+        return RuleSet(rules, self.SCALING, int(rng.integers(0, 3)))
+
+    def test_random_rule_sets(self):
+        rng = np.random.default_rng(0)
+        for trial in range(300):
+            rules = self.random_rules(rng, int(rng.integers(0, 12)))
+            # Values at the bin centers and between them.
+            X = rng.integers(0, 5, (25, 3)) / 4.0
+            y = rng.random(25)
+            expected = [ref_classify(rules, x) for x in X]
+            assert [classify(rules, x) for x in X] == expected
+            real = self.SCALING.discretize_decision(y)
+            assert mse(rules, Dataset(X, y)) == float(np.mean((real - np.array(expected)) ** 2))
+
+    def test_exact_match_after_closer_keyed_rules(self):
+        rules = RuleSet([DecisionRule((0, 0, 1), 2, 9, True),  # distance 1, larger support
+                         DecisionRule((0, 0, 0), 1, 1, True),  # first exact match
+                         DecisionRule((0, 0, 0), 0, 5, True)], self.SCALING, 2)
+        x = [0.0, 0.1, 0.2]
+        assert classify(rules, x) == ref_classify(rules, x) == 1
+
+    def test_empty_rule_set_gives_default(self):
+        rules = RuleSet([], self.SCALING, 2)
+        X = np.array([[0.0, 0.5, 1.0], [1.0, 1.0, 1.0]])
+        assert classify(rules, X[0]) == ref_classify(rules, X[0]) == 2
+        assert mse(rules, Dataset(X, np.array([0.0, 1.0]))) == 2.0
 
 
 class TestMse:
