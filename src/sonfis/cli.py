@@ -26,7 +26,7 @@ from . import dynamics, sweep as sweep_mod
 from .dataset import Dataset, DatasetError, SplitSpec, gen_synthetic, load_csv, min_max_normalize, split
 from .dynamics import LoopConfig, NoiseParams
 from .nfis import NfisTrainParams
-from .som import SomParams
+from .som import MAX_NEURONS, SomParams
 
 
 class ConfigError(ValueError):
@@ -36,8 +36,9 @@ class ConfigError(ValueError):
 # Each config section's numeric keys as {key: (kind, minimum[, maximum])}; a
 # key the file leaves out takes the default of the parameter object it builds.
 NOISE_KEYS = {"alpha": (float, 0.0), "beta": (float, 0.0), "gamma": (float, None)}
-LOOP_KEYS = {"iterations": (int, 1, sys.maxsize), "n_rules": (int, 1), "bins": (tuple, 2, sys.maxsize),
-             "n_min": (int, 2), "n_max": (int, 2, sys.maxsize), "initial_N": (int, 1), "seed": (int, 0)}
+# n_max and bins are neuron counts of one SOM, so som.MAX_NEURONS bounds them.
+LOOP_KEYS = {"iterations": (int, 1, sys.maxsize), "n_rules": (int, 1), "bins": (tuple, 2, MAX_NEURONS),
+             "n_min": (int, 2), "n_max": (int, 2, MAX_NEURONS), "initial_N": (int, 1), "seed": (int, 0)}
 SPLIT_KEYS = {"n_train": (int, 1), "n_test": (int, 1), "shuffle_seed": (int, 0)}
 SOM_KEYS = {"epochs": (int, 1), "initial_radius": (float, 0.0), "final_radius": (float, None)}
 NFIS_KEYS = {"epochs": (int, 1), "premise_learning_rate": (float, None)}
@@ -155,7 +156,7 @@ def load_config(path) -> RunConfig:
         "alphas": (noise.alpha, float, 0.0),
         "betas": (noise.beta, float, 0.0),
         "gammas": (noise.gamma, float, None),
-        "extras": (loop.n_rules, int, 1) if system == "sonfis" else (loop.bins, int, 2, sys.maxsize),
+        "extras": (loop.n_rules, int, 1) if system == "sonfis" else (loop.bins, int, 2, MAX_NEURONS),
     }
     if system == "sorst" and isinstance(loop.bins, tuple) and "extras" not in sweep_doc:
         raise ConfigError("$.sweep.extras: required for a 'sorst' sweep when bins is a list")

@@ -1,9 +1,22 @@
 """The batch-SOM hot kernels, in NumPy.
 
-Both functions add in a fixed sequential order (attribute by attribute,
-record by record), so their results do not depend on NumPy's pairwise
-summation and exact distance ties always resolve to the lowest index.
-`som.py` calls them through module attribute lookup
+`assign_bmus` returns, bit for bit, the BMUs of `_assign_exact`: squared
+distances summed one attribute at a time (`0 + diff0**2 + diff1**2 + ...`),
+first (lowest) index on exact ties. Summed pairwise, as NumPy's
+`.sum(axis=2)` does for d >= 8, distances round differently and can break
+those ties the other way.
+
+Large SOMs get there faster. One matrix product per row block ranks every
+prototype by `||p||**2 - 2 x.p`; a row whose runner-up lies outside a
+proven rounding bound of its minimum keeps that argmin, and only the rows
+with a near tie are recomputed by `_assign_exact`. The bound and its proof
+are in `_assign_prefiltered`. Below `PREFILTER_MIN_MD` prototype elements
+the fixed cost of the extra NumPy calls outweighs the saving, so small SOMs
+go straight to `_assign_exact`.
+
+`accumulate_by_bmu` adds the records in order with `np.bincount`.
+
+`som.py` calls the kernels through module attribute lookup
 (`kernels.assign_bmus`), so a tracer can wrap them in place.
 """
 
@@ -11,16 +24,35 @@ import numpy as np
 
 BACKEND = "numpy"  # printed with every benchmark result
 
+# m * d (prototypes times attributes) from which `assign_bmus` prefilters.
+# Measured with one BLAS thread at d = 3, the benchmark data's width: on 600
+# records the two paths break even between m * d = 96 and 132 and the
+# prefilter is 2.4x faster at 144; on 4500 records it is 1.5x faster at 48
+# and 7x at 1200 (a 20 x 20 grid). At d = 1 the break-even is near 190, at
+# d = 8 below 64.
+PREFILTER_MIN_MD = 144
+# Elements of one (rows, m) block of the prefilter, small enough for cache.
+BLOCK_ELEMENTS = 1 << 16
+# Input with a nonzero magnitude below TINY, or a squared row norm above
+# HUGE**2, takes `_assign_exact`: within them no product, square or sum
+# overflows or underflows.
+TINY = 2.0**-450
+HUGE = 2.0**500
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
 
 def assign_bmus(data, protos):
-    """Index of the best-matching prototype for every row of `data`.
+    """Index of the best-matching prototype for every row of `data` (n, d)
+    among `protos` (m, d), as `_assign_exact` computes it."""
+    if protos.shape[0] * protos.shape[1] < PREFILTER_MIN_MD:
+        return _assign_exact(data, protos)
+    return _assign_prefiltered(data, protos)
 
-    Squared Euclidean distance, summed one attribute at a time into one
-    (n, m) matrix: `0 + diff0**2 + diff1**2 + ...`, a sequential order. A
-    pairwise `.sum(axis=2)` would round differently for d >= 8 and could
-    break exact ties the other way. np.argmin keeps the first (lowest)
-    index on ties.
-    """
+
+def _assign_exact(data, protos):
+    """Squared Euclidean distance, summed one attribute at a time into one
+    (n, m) matrix, a sequential order. np.argmin keeps the first (lowest)
+    index on ties."""
     d2 = np.subtract.outer(data[:, 0], protos[:, 0])
     d2 *= d2
     diff = np.empty_like(d2)
@@ -29,6 +61,93 @@ def assign_bmus(data, protos):
         diff *= diff
         d2 += diff
     return d2.argmin(axis=1).astype(np.int64)
+
+
+def _assign_prefiltered(data, protos):
+    """`_assign_exact(data, protos)` through one matrix product per block.
+
+    Notation (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., 2002, ch. 3): u = 2**-53, gamma_k = k*u / (1 - k*u), and
+    gamma_j + gamma_k + gamma_j*gamma_k <= gamma_{j+k}. For row x and
+    prototype p let D = ||x - p||**2, F = ||p||**2 - 2 x.p = D - ||x||**2 and
+    S = (||x|| + max_j ||p_j||)**2, so that D <= S and
+    2 ||x|| ||p|| + ||p||**2 <= S.
+
+    1. `_assign_exact` computes e = fl(sum_k fl(fl(x_k - p_k)**2)) in order.
+       Each term carries three roundings and then d - 1 additions of
+       nonnegative numbers: |e - D| <= gamma_{d+2} D <= gamma_{d+2} S.
+    2. A block computes A = [x, 1] . [-2 p, fl(||p||**2)], a dot product of
+       d + 1 terms; scaling by -2 is exact. In any summation order, fused
+       multiply-adds included, it errs by at most
+       gamma_{d+1} (2 sum_k |x_k p_k| + fl(||p||**2)), and fl(||p||**2) by
+       gamma_d ||p||**2, so |A - F| <= gamma_{2d+1} S.
+    3. Let r = argmin_j A_j and c the index `_assign_exact` returns, so
+       e_c <= e_r. With g1 = gamma_{2d+1} and g2 = gamma_{d+2}:
+       A_c <= F_c + g1 S <= e_c - ||x||**2 + (g1 + g2) S
+           <= e_r - ||x||**2 + (g1 + g2) S <= A_r + 2 (g1 + g2) S,
+       and 2 (g1 + g2) <= 2 gamma_{3d+3}. Rounding the threshold A_r + tau
+       adds at most u |A_r + tau| <= 2u S.
+    4. So tau = 4 gamma_{3d+4} S is twice the 2 gamma_{3d+4} S that steps
+       1-3 need, which also covers the few roundings in computing tau. Then
+       c lies in {j : A_j <= fl(A_r + tau)}. When that set is {r} alone,
+       c = r. Rows with a second candidate are recomputed by
+       `_assign_exact`, row by row, so exact ties still go to the lowest
+       index.
+
+    The gamma bounds assume that nothing overflows or underflows. Squared
+    norms <= HUGE**2 bound every partial sum by 4 HUGE**2. Nonzero
+    magnitudes >= TINY keep every product and square normal: a nonzero
+    difference of two doubles is a multiple of the smaller one's ulp, so its
+    square is at least (TINY * 2**-52)**2 = 2**-1004. An addition with a
+    subnormal result is exact; a fused one errs by at most 2**-1075, far
+    inside the factor-2 margin, since S >= TINY**2 unless the row and every
+    prototype are zero. Other input goes to `_assign_exact` whole, NaN and
+    inf included: they make a squared norm NaN or inf.
+    """
+    n, d = data.shape
+    m = protos.shape[0]
+    xn = np.einsum("ij,ij->i", data, data)
+    pn = np.einsum("ij,ij->i", protos, protos)
+    if not (xn.max(initial=0.0) <= HUGE**2 and pn.max() <= HUGE**2) or _has_tiny(data) or _has_tiny(protos):
+        return _assign_exact(data, protos)
+    tau = _tie_margin(xn, pn.max(), d)
+    lhs = np.empty((n, d + 1))
+    lhs[:, :d] = data
+    lhs[:, d] = 1.0
+    rhs = np.empty((d + 1, m))
+    np.multiply(protos.T, -2.0, out=rhs[:d])
+    rhs[d] = pn
+    # Per row: the best score, its index and the runner-up's score.
+    best = np.empty(n)
+    bmus = np.empty(n, dtype=np.int64)
+    second = np.empty(n)
+    step = max(1, BLOCK_ELEMENTS // m)
+    block = np.empty((min(step, n), m))  # reused: a fresh one costs page faults
+    block_rows = np.arange(len(block))
+    for lo in range(0, n, step):
+        a = np.matmul(lhs[lo:lo + step], rhs, out=block[:min(step, n - lo)])
+        rows = block_rows[:len(a)]
+        cols = a.argmin(axis=1, out=bmus[lo:lo + step])
+        best[lo:lo + step] = a[rows, cols]
+        a[rows, cols] = np.inf
+        a.min(axis=1, out=second[lo:lo + step])
+    rows = np.flatnonzero(second <= best + tau)
+    if rows.size:
+        bmus[rows] = _assign_exact(data[rows], protos)
+    return bmus
+
+
+def _tie_margin(xn, pn_max, d):
+    """tau = 4 gamma_{3d+4} S per row, from the squared row norms `xn` and
+    the largest squared prototype norm `pn_max`; see `_assign_prefiltered`."""
+    k = 3 * d + 4
+    return 4.0 * (k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)) * (np.sqrt(xn) + np.sqrt(pn_max)) ** 2
+
+
+def _has_tiny(a):
+    """Whether any nonzero element of `a` is smaller in magnitude than TINY."""
+    a = np.abs(a)
+    return bool(np.any((a < TINY) & (a > 0)))
 
 
 def accumulate_by_bmu(data, bmus, m):

@@ -17,6 +17,11 @@ import numpy as np
 from . import kernels
 from .dataset import Dataset
 
+# The most neurons one SOM may have: a 64 x 64 grid. Training builds (N, N)
+# float64 Chebyshev and neighbourhood matrices, 128 MiB each at this size,
+# plus temporaries of the same shape.
+MAX_NEURONS = 4096
+
 
 @dataclass(frozen=True)
 class SomParams:

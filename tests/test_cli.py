@@ -74,6 +74,13 @@ BAD_CONFIGS = [
     pytest.param("run-sorst", {"bins": [2, 1e308, 3, 3]}, "$.bins[1]:", id="bins-entry-above-maxsize"),
     pytest.param("sweep", {"sweep": {"system": "sorst", "extras": [3, 1e308]}}, "$.sweep.extras[1]:",
                  id="sorst-extras-above-maxsize"),
+    # Counts a SOM could allocate but not hold: n_max was searched in
+    # som.grid_dims for about 3e9 steps before failing to allocate.
+    pytest.param("run-sonfis", {"n_max": 9223372036854775783, "alpha": 1e308}, "$.n_max:",
+                 id="n-max-above-max-neurons"),
+    pytest.param("run-sorst", {"bins": 2**62}, "$.bins:", id="bins-above-max-neurons"),
+    pytest.param("sweep", {"sweep": {"system": "sorst", "extras": [3, 100000]}}, "$.sweep.extras[1]:",
+                 id="sorst-extras-above-max-neurons"),
     # Seeds below 0, which NumPy's seed sequences would reject only at run time.
     pytest.param("sweep", {"seed": -1}, "$.seed:", id="seed-negative"),
     pytest.param("run-sonfis", {"dataset": {"synthetic": {"seed": -1}}}, "$.dataset.synthetic.seed:",

@@ -2,12 +2,35 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sonfis import kernels
 
 # One parameter, so every test id carries the backend name that the
 # benchmark reports with its results.
 KERNELS = pytest.mark.parametrize("impl", [kernels], ids=[kernels.BACKEND])
+# Taken before any test replaces it with a spy.
+EXACT = kernels._assign_exact
+
+
+def assign_paths(impl):
+    """`assign_bmus`, which sends inputs below PREFILTER_MIN_MD to the exact
+    loop, and the prefilter it uses above it, called directly."""
+    return impl.assign_bmus, impl._assign_prefiltered
+
+
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """The row count of every `_assign_exact` call made during the test."""
+    rows = []
+
+    def spy(data, protos):
+        rows.append(len(data))
+        return EXACT(data, protos)
+
+    monkeypatch.setattr(kernels, "_assign_exact", spy)
+    return rows
 
 
 def ref_assign(data, protos):
@@ -44,14 +67,16 @@ def test_assign_matches_reference(impl):
     rng = np.random.default_rng(0)
     data = rng.random((200, 3))
     protos = rng.random((17, 3))
-    assert np.array_equal(impl.assign_bmus(data, protos), ref_assign(data, protos))
+    for assign in assign_paths(impl):
+        assert np.array_equal(assign(data, protos), ref_assign(data, protos))
 
 
 @KERNELS
 def test_tie_breaks_to_lowest_index(impl):
     data = np.array([[0.5, 0.5]])
     protos = np.array([[0.4, 0.5], [0.6, 0.5], [0.4, 0.5]])
-    assert impl.assign_bmus(data, protos)[0] == 0
+    for assign in assign_paths(impl):
+        assert assign(data, protos)[0] == 0
 
 
 @pytest.mark.parametrize("d", [8, 12])
@@ -66,7 +91,9 @@ def test_permuted_ties_follow_sequential_order(impl, d):
         x = rng.random(d)
         delta = rng.random(d) * 0.1
         protos = np.stack([x + delta, x + delta[rng.permutation(d)]])
-        assert impl.assign_bmus(x[None], protos)[0] == ref_assign(x[None], protos)[0]
+        want = ref_assign(x[None], protos)[0]
+        for assign in assign_paths(impl):
+            assert assign(x[None], protos)[0] == want
 
 
 @KERNELS
@@ -84,18 +111,167 @@ def test_accumulate(impl):
     assert not sums[3].any() and counts[3] == 0
 
 
-@pytest.mark.parametrize("n, m, d", [(7, 3, 1), (3, 5, 1), (4, 9, 3)])
+@pytest.mark.parametrize("n, m, d", [(7, 3, 1), (3, 5, 1), (4, 9, 3),
+                                     (300, 150, 1), (400, 60, 3), (150, 40, 8), (120, 30, 12)])
 @KERNELS
 def test_shapes_and_dtypes(impl, n, m, d):
     """d = 1 is the shape `rst.fit_scaling` trains; n < m leaves neurons
-    without records."""
+    without records. From (300, 150, 1) on, m * d >= PREFILTER_MIN_MD, so
+    `assign_bmus` itself takes the prefilter."""
     rng = np.random.default_rng(3)
     data = rng.random((n, d))
     protos = rng.random((m, d))
-    bmus = impl.assign_bmus(data, protos)
-    assert bmus.dtype == np.int64 and bmus.shape == (n,)
-    assert np.array_equal(bmus, ref_assign(data, protos))
+    for assign in assign_paths(impl):
+        bmus = assign(data, protos)
+        assert bmus.dtype == np.int64 and bmus.shape == (n,)
+        assert np.array_equal(bmus, ref_assign(data, protos))
     sums, counts = impl.accumulate_by_bmu(data, bmus, m)
     assert sums.dtype == np.float64 and sums.shape == (m, d)
     assert counts.dtype == np.float64 and counts.shape == (m,)
     assert counts.sum() == n
+
+
+# The prefilter: above PREFILTER_MIN_MD, `assign_bmus` ranks prototypes by one
+# matrix product and recomputes only rows with a candidate within the
+# rounding margin. Each case must still equal the sequential loop exactly.
+
+@KERNELS
+def test_duplicated_prototypes_recompute_every_row(impl, exact_rows):
+    """Every prototype appears three times, so every row has an exact tie
+    and goes to the sequential loop, which picks the first copy."""
+    rng = np.random.default_rng(4)
+    data = rng.random((200, 3))
+    protos = np.repeat(rng.random((60, 3)), 3, axis=0)
+    bmus = impl.assign_bmus(data, protos)
+    assert exact_rows == [200]
+    assert np.array_equal(bmus, EXACT(data, protos))
+    assert not (bmus % 3).any()
+
+
+@pytest.mark.parametrize("d", [8, 12])
+@KERNELS
+def test_permuted_ties_among_far_prototypes(impl, d):
+    """The permuted-tie pair of `test_permuted_ties_follow_sequential_order`
+    plus enough far prototypes to take the prefilter path: the pair's
+    rounding-level gap must still be decided by the sequential sum."""
+    rng = np.random.default_rng(1)
+    far = impl.PREFILTER_MIN_MD // d
+    for _ in range(500):
+        x = rng.random(d)
+        delta = rng.random(d) * 0.1
+        pair = np.stack([x + delta, x + delta[rng.permutation(d)]])
+        protos = np.concatenate([pair, x + 5.0 + rng.random((far, d))])
+        assert impl.assign_bmus(x[None], protos)[0] == ref_assign(x[None], pair)[0]
+
+
+@KERNELS
+def test_near_ties_the_product_misranks(impl):
+    """Prototype pairs 2**-50 to 2**-53 apart, relative: the matrix product
+    alone picks the other one of a pair on thousands of rows; the prefilter
+    never does. A margin of u * S instead of tau fails here."""
+    misranked = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        for e in (50, 51, 52, 53):
+            data = rng.random((2000, 3)) * 4.0 - 2.0
+            base = rng.random((30, 3)) * 4.0 - 2.0
+            protos = np.concatenate([base, base * (1.0 + rng.choice([-1.0, 1.0], base.shape) * 2.0**-e)])
+            want = EXACT(data, protos)
+            product = (data @ (-2.0 * protos.T) + np.einsum("ij,ij->i", protos, protos)).argmin(axis=1)
+            misranked += np.count_nonzero(product != want)
+            assert np.array_equal(impl._assign_prefiltered(data, protos), want)
+    assert misranked > 1000
+
+
+@KERNELS
+def test_runner_up_at_the_margin_is_recomputed(impl, exact_rows):
+    """A zero row scores each prototype by exactly its computed squared
+    norm. The runner-up planted at exactly fl(best + tau) is a candidate,
+    and one ulp beyond it is not."""
+    x = np.zeros((1, 3))
+    tau = impl._tie_margin(np.zeros(1), 9.0, 3)[0]
+    bound = 0.25 + tau
+    for score, recomputed in ((bound, [1]), (np.nextafter(bound, 1.0), [])):
+        protos = np.array([[0.5, 0.0, 0.0], [0.5, np.sqrt(score - 0.25), 0.0], [-3.0, 0.0, 0.0]])
+        assert np.einsum("ij,ij->i", protos, protos)[1] == score
+        exact_rows.clear()
+        assert impl._assign_prefiltered(x, protos)[0] == 0
+        assert exact_rows == recomputed
+
+
+@pytest.mark.parametrize("scale, whole", [(1e150, False), (1e-130, False), (1e160, True), (1e200, True),
+                                          (1e-140, True), (1e-300, True), (5e-324, True)])
+@KERNELS
+def test_extreme_magnitudes(impl, exact_rows, scale, whole):
+    """Inside [TINY, HUGE] the bound holds and few rows are recomputed;
+    outside it the whole input goes to the sequential loop, even where its
+    squares overflow to inf or underflow to 0."""
+    rng = np.random.default_rng(6)
+    data = rng.random((50, 3)) * scale
+    protos = rng.random((60, 3)) * scale
+    with np.errstate(over="ignore", under="ignore"):
+        want = EXACT(data, protos)
+        got = impl.assign_bmus(data, protos)
+    assert np.array_equal(got, want)
+    assert (exact_rows == [50]) if whole else sum(exact_rows) < 50
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["data", "protos"])
+@KERNELS
+def test_non_finite_input(impl, exact_rows, bad, where):
+    """NaN and inf go to the sequential loop whole, which keeps its argmin
+    of NaN distances (the first NaN)."""
+    rng = np.random.default_rng(7)
+    arrs = {"data": rng.random((40, 3)), "protos": rng.random((60, 3))}
+    arrs[where][5, 1] = bad
+    with np.errstate(invalid="ignore"):
+        want = EXACT(arrs["data"], arrs["protos"])
+        got = impl.assign_bmus(arrs["data"], arrs["protos"])
+    assert np.array_equal(got, want)
+    assert exact_rows == [40]
+
+
+@KERNELS
+def test_prefilter_empty_data_and_one_prototype(impl):
+    rng = np.random.default_rng(8)
+    protos = rng.random((60, 3))
+    for assign in assign_paths(impl):
+        bmus = assign(np.empty((0, 3)), protos)
+        assert bmus.dtype == np.int64 and bmus.shape == (0,)
+    data = rng.random((30, 3))
+    assert np.array_equal(impl._assign_prefiltered(data, protos[:1]), np.zeros(30, dtype=np.int64))
+
+
+@st.composite
+def assign_inputs(draw):
+    """Data and prototypes of one width, from a few shared values (exact
+    ties and duplicates), moderate floats, or any float at all."""
+    d = draw(st.integers(1, 6))
+    elements = st.one_of(st.sampled_from([0.0, 0.5, -1.0, 1.0, 3.0]), st.floats(-1e3, 1e3), st.floats())
+    data = draw(arrays(np.float64, (draw(st.integers(0, 12)), d), elements=elements))
+    protos = draw(arrays(np.float64, (draw(st.integers(1, 12)), d), elements=elements))
+    return data, protos
+
+
+@settings(max_examples=300, deadline=None)
+@given(assign_inputs())
+def test_prefilter_property(inputs):
+    data, protos = inputs
+    with np.errstate(all="ignore"):
+        assert np.array_equal(kernels._assign_prefiltered(data, protos), EXACT(data, protos))
+
+
+def test_dispatch_by_prototype_size(monkeypatch, exact_rows):
+    """The sonfis-large shape (4500 records, a 20 x 20 grid, 3 attributes)
+    takes the prefilter and recomputes no row; a 2 x 2 SOM on 600 records
+    takes the sequential loop."""
+    calls = []
+    prefiltered = kernels._assign_prefiltered
+    monkeypatch.setattr(kernels, "_assign_prefiltered", lambda *a: calls.append(a) or prefiltered(*a))
+    rng = np.random.default_rng(9)
+    data, protos = rng.random((4500, 3)), rng.random((400, 3))
+    assert np.array_equal(kernels.assign_bmus(data, protos), EXACT(data, protos))
+    assert len(calls) == 1 and exact_rows == []
+    kernels.assign_bmus(data[:600], protos[:4])
+    assert len(calls) == 1 and exact_rows == [600]
