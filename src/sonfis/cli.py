@@ -209,7 +209,8 @@ def _cmd_run(args, system: str) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     train, test = _prepare_data(cfg)
-    result = sweep_mod.run_sweep(cfg.sweep, train, test, keep_trajectories=args.trajectories is not None)
+    result = sweep_mod.run_sweep(cfg.sweep, train, test, keep_trajectories=args.trajectories is not None,
+                                 workers=args.workers)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     sweep_mod.export_csv(result, outdir / "sweep.csv")
@@ -234,6 +235,17 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _workers(text: str) -> int:
+    """`--workers`: a process count of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sonfis", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -254,6 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--out", default=".")
     s.add_argument("--trajectories", default=None, help="optional JSON dump of full trajectories")
+    s.add_argument("--workers", type=_workers, default=None,
+                   help="processes that run the sweep's trajectories (default: every available CPU)")
 
     rep = sub.add_parser("report", help="transition profile from a sweep CSV")
     rep.add_argument("--sweep-csv", required=True)

@@ -130,17 +130,13 @@ def predict(fis: FuzzyRuleBase, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def infer(fis: FuzzyRuleBase, x) -> float:
-    return float(predict(fis, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
-
-
-def _solve_consequents(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Least-squares consequents on the weight-normalized design. Rows with
-    underflowed firing use a one-hot weight on `_nearest_rule`, the
-    inference fallback. Minimum-norm solution when rank-deficient."""
+def _solve_consequents(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Least-squares consequents on the weight-normalized design, given the
+    firing strengths `w = _firing(fis, X)`. Rows with underflowed firing use
+    a one-hot weight on `_nearest_rule`, the inference fallback.
+    Minimum-norm solution when rank-deficient."""
     n, d = X.shape
     R = fis.n_rules
-    w = _firing(fis, X)
     sw = w.sum(axis=1)
     wn = np.zeros_like(w)
     ok = sw > 0
@@ -153,10 +149,11 @@ def _solve_consequents(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray) -> np.n
     return sol.reshape(R, d + 1)
 
 
-def _premise_gradients(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of mean squared error w.r.t. centers and widths.
-    Rows with underflowed total firing contribute nothing."""
-    w = _firing(fis, X)
+def _premise_gradients(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray,
+                       w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient of mean squared error w.r.t. centers and widths,
+    given the firing strengths `w = _firing(fis, X)`. Rows with underflowed
+    total firing contribute nothing."""
     f = _consequent_values(fis, X)
     sw = w.sum(axis=1)
     ok = sw > 0
@@ -178,8 +175,9 @@ def _premise_gradients(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray) -> tupl
 
 def train_hybrid(fis: FuzzyRuleBase, granules: GranuleSet, params: NfisTrainParams) -> FuzzyRuleBase:
     """Per epoch: exact least squares for the consequents, then one gradient
-    step on the premise centers and widths (widths re-floored at 0.01).
-    Returns a new rule base; the input is untouched."""
+    step on the premise centers and widths (widths re-floored at 0.01). Both
+    use the epoch's one set of firing strengths, since the consequents do
+    not enter them. Returns a new rule base; the input is untouched."""
     if len(granules) == 0:
         raise ValueError("empty granule set")
     X = np.asarray(granules.inputs, dtype=np.float64)
@@ -187,8 +185,9 @@ def train_hybrid(fis: FuzzyRuleBase, granules: GranuleSet, params: NfisTrainPara
     out = FuzzyRuleBase(fis.centers.copy(), fis.widths.copy(), fis.coeffs.copy())
     lr = params.premise_learning_rate
     for _ in range(params.epochs):
-        out.coeffs = _solve_consequents(out, X, t)
-        gc, gs = _premise_gradients(out, X, t)
+        w = _firing(out, X)
+        out.coeffs = _solve_consequents(out, X, t, w)
+        gc, gs = _premise_gradients(out, X, t, w)
         out.centers = out.centers - lr * gc
         out.widths = np.maximum(out.widths - lr * gs, WIDTH_FLOOR_TRAIN)
     return out

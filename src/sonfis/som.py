@@ -58,16 +58,6 @@ class GranuleSet:
     def __len__(self) -> int:
         return len(self.decisions)
 
-    def to_csv(self, path, input_names=None) -> None:
-        names = input_names or [f"x{i + 1}" for i in range(self.inputs.shape[1])]
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(names + ["decision", "support"])
-            for row, d, s in zip(self.inputs, self.decisions, self.support):
-                w.writerow([repr(float(v)) for v in row] + [repr(float(d)), int(s)])
-
 
 def grid_dims(N: int) -> tuple[int, int]:
     """Most-square factorization n1*n2 = N with n1 <= n2."""

@@ -6,6 +6,7 @@ deterministic seed derivation, and long-format CSV export.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 
@@ -88,32 +89,102 @@ def _cell_seed(base: int, cell_index: int, repeat: int) -> int:
     return int(np.random.SeedSequence([base, cell_index, repeat]).generate_state(1)[0])
 
 
+def _run_task(state, cell_index: int, rep: int):
+    """One (cell, repeat) of a sweep: `(metrics, trajectory or None, None)`,
+    or `(None, None, error)` when it raised. `state` is `(spec, train, test,
+    error_fn, keep_trajectories)`."""
+    spec, train, test, error_fn, keep = state
+    alpha, beta, gamma, extra = spec.grid[cell_index]
+    p = NoiseParams(alpha, beta, gamma)
+    seed = _cell_seed(spec.base_config.seed, cell_index, rep)
+    try:
+        if spec.system == "sonfis":
+            cfg, run = replace(spec.base_config, n_rules=extra, seed=seed), run_sonfis
+        else:
+            cfg, run = replace(spec.base_config, bins=extra, seed=seed), run_sorst_as
+        traj = run(train, test, cfg, p, error_fn=error_fn)
+        return order_metrics(traj, burn_in=spec.burn_in), traj if keep else None, None
+    except Exception as exc:  # degenerate corners stay local to the cell
+        return None, None, f"{type(exc).__name__}: {exc}"
+
+
+_worker_state = None  # a pool worker's `_run_task` state, set by `_init_worker`
+
+
+def _init_worker(*state) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _pool_task(cell_index: int, rep: int):
+    return _run_task(_worker_state, cell_index, rep)
+
+
 def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
-              keep_trajectories: bool = False, error_fn=None) -> SweepResult:
+              keep_trajectories: bool = False, error_fn=None, workers: int | None = None) -> SweepResult:
     """Execute every grid cell x repeat. Per-cell failures are recorded in
-    the cell, never raised; result ordering follows the grid regardless of
-    execution order. `error_fn` is the constant-error stub hook passed down
-    to the dynamics loop."""
+    the cell, never raised: a cell keeps its repeats up to the first that
+    raised, and no later repeat of it runs. `error_fn` is the
+    constant-error stub hook passed down to the dynamics loop.
+
+    Each (cell, repeat) is one task, seeded by `_cell_seed` alone, so the
+    result is the same for any `workers` (default: one per CPU this process
+    may run on; capped at the task count). With more than one worker the
+    tasks run in a pool of forked processes, which inherit the inputs and
+    `error_fn` rather than receive them pickled, so a lambda stub works; at
+    most two tasks per worker are in flight. The pool forks every worker
+    before it starts its own thread. Where fork is unavailable the tasks
+    run in this process."""
+    if workers is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    grid = spec.grid
+    workers = min(workers, len(grid) * spec.repeats)
+    state = (spec, train, test, error_fn, keep_trajectories)
+    first_failed = [spec.repeats] * len(grid)  # repeat index; repeats when none failed
+    outputs: dict[tuple[int, int], tuple] = {}
+
+    def tasks():
+        for cell_index in range(len(grid)):
+            rep = 0
+            while rep < first_failed[cell_index]:  # re-read after every task
+                yield cell_index, rep
+                rep += 1
+
+    def record(cell_index: int, rep: int, output) -> None:
+        outputs[cell_index, rep] = output
+        if output[2] is not None:
+            first_failed[cell_index] = min(first_failed[cell_index], rep)
+
+    import multiprocessing
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        for task in tasks():
+            record(*task, _run_task(state, *task))
+    else:
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 initializer=_init_worker, initargs=state) as pool:
+            pending, todo = {}, tasks()
+            while True:
+                for task in todo:
+                    pending[pool.submit(_pool_task, *task)] = task
+                    if len(pending) >= 2 * workers:
+                        break
+                if not pending:
+                    break
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    record(*pending.pop(future), future.result())
+
     cells: list[CellResult] = []
-    for cell_index, (alpha, beta, gamma, extra) in enumerate(spec.grid):
-        p = NoiseParams(alpha, beta, gamma)
-        metrics: list[OrderMetrics] = []
-        trajs = [] if keep_trajectories else None
-        error = None
-        try:
-            for rep in range(spec.repeats):
-                seed = _cell_seed(spec.base_config.seed, cell_index, rep)
-                if spec.system == "sonfis":
-                    cfg, run = replace(spec.base_config, n_rules=extra, seed=seed), run_sonfis
-                else:
-                    cfg, run = replace(spec.base_config, bins=extra, seed=seed), run_sorst_as
-                traj = run(train, test, cfg, p, error_fn=error_fn)
-                metrics.append(order_metrics(traj, burn_in=spec.burn_in))
-                if trajs is not None:
-                    trajs.append(traj)
-        except Exception as exc:  # degenerate corners stay local to the cell
-            error = f"{type(exc).__name__}: {exc}"
-        cells.append(CellResult(alpha, beta, gamma, extra, metrics, error, trajs))
+    for cell_index, (alpha, beta, gamma, extra) in enumerate(grid):
+        runs = [outputs[cell_index, rep] for rep in range(first_failed[cell_index])]
+        failed = first_failed[cell_index] < spec.repeats
+        error = outputs[cell_index, first_failed[cell_index]][2] if failed else None
+        trajs = [traj for _, traj, _ in runs] if keep_trajectories else None
+        cells.append(CellResult(alpha, beta, gamma, extra, [m for m, _, _ in runs], error, trajs))
     return SweepResult(spec, cells)
 
 

@@ -313,7 +313,7 @@ class TestCriterion7:
             def loss(f):
                 return float(np.mean((nfis.predict(f, X) - t) ** 2))
 
-            gc, gs = nfis._premise_gradients(fis, X, t)
+            gc, gs = nfis._premise_gradients(fis, X, t, nfis._firing(fis, X))
             for analytic, attr in ((gc, "centers"), (gs, "widths")):
                 arr = getattr(fis, attr)
                 for idx in np.ndindex(arr.shape):

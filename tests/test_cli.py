@@ -300,6 +300,24 @@ class TestExecute:
         assert execute(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    def test_sweep_workers_give_identical_outputs(self, tmp_path):
+        doc = dict(SMALL, sweep={"alphas": [0.8, 0.9], "repeats": 2, "burn_in": 0})
+        cfg = write_config(tmp_path, doc)
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            tj = out / "trajs.json"
+            assert execute(["sweep", "--config", str(cfg), "--out", str(out), "--trajectories", str(tj),
+                            "--workers", workers]) == 0
+            outputs.append(((out / "sweep.csv").read_bytes(), tj.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_sweep_bad_workers_exits_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, SMALL)
+        assert execute(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--workers", value]) == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_trajectories_json_dump(self, tmp_path):
         doc = dict(SMALL, sweep={"alphas": [0.9], "repeats": 1, "burn_in": 0})
         cfg = write_config(tmp_path, doc)

@@ -5,8 +5,8 @@ from sonfis.dataset import Dataset
 from sonfis.nfis import (
     FuzzyRuleBase,
     NfisTrainParams,
+    _firing,
     _premise_gradients,
-    infer,
     init_rulebase,
     predict,
     rmse,
@@ -48,7 +48,7 @@ class TestInitRulebase:
 class TestInfer:
     def test_single_rule_is_its_consequent(self):
         fis = FuzzyRuleBase(np.array([[0.0]]), np.array([[1.0]]), np.array([[2.0, 1.0]]))
-        assert infer(fis, [3.0]) == pytest.approx(7.0)
+        assert predict(fis, [[3.0]])[0] == pytest.approx(7.0)
 
     def test_symmetric_rules_average(self):
         fis = FuzzyRuleBase(
@@ -56,7 +56,7 @@ class TestInfer:
             np.array([[1.0], [1.0]]),
             np.array([[0.0, 0.0], [0.0, 10.0]]),
         )
-        assert infer(fis, [1.0]) == pytest.approx(5.0)
+        assert predict(fis, [[1.0]])[0] == pytest.approx(5.0)
 
     def test_hand_evaluated_weighting(self):
         # w1 = exp(-0.125), w2 = exp(-1.125); output = 10*w2/(w1+w2)
@@ -66,8 +66,8 @@ class TestInfer:
             np.array([[0.0, 0.0], [0.0, 10.0]]),
         )
         w1, w2 = np.exp(-0.125), np.exp(-1.125)
-        assert infer(fis, [0.5]) == pytest.approx(10 * w2 / (w1 + w2))
-        assert infer(fis, [0.5]) == pytest.approx(2.689, abs=1e-3)
+        assert predict(fis, [[0.5]])[0] == pytest.approx(10 * w2 / (w1 + w2))
+        assert predict(fis, [[0.5]])[0] == pytest.approx(2.689, abs=1e-3)
 
     def test_underflow_falls_back_to_nearest_center(self):
         fis = FuzzyRuleBase(
@@ -75,8 +75,8 @@ class TestInfer:
             np.full((2, 1), 1e-3),
             np.array([[0.0, -5.0], [0.0, 5.0]]),
         )
-        assert infer(fis, [0.8]) == pytest.approx(5.0)
-        assert infer(fis, [0.1]) == pytest.approx(-5.0)
+        assert predict(fis, [[0.8]])[0] == pytest.approx(5.0)
+        assert predict(fis, [[0.1]])[0] == pytest.approx(-5.0)
 
     def test_output_is_convex_combination_of_consequents(self):
         rng = np.random.default_rng(0)
@@ -139,7 +139,7 @@ class TestTrainHybrid:
         before = np.sqrt(np.mean((predict(fis, X) - y) ** 2))
         from sonfis.nfis import _solve_consequents
 
-        fis.coeffs = _solve_consequents(fis, X, y)
+        fis.coeffs = _solve_consequents(fis, X, y, _firing(fis, X))
         after = np.sqrt(np.mean((predict(fis, X) - y) ** 2))
         assert after <= before + 1e-12
 
@@ -182,7 +182,7 @@ class TestPremiseGradients:
                 rng.uniform(0.3, 1.0, (R, d)),
                 rng.normal(0, 1, (R, d + 1)),
             )
-            gc, gs = _premise_gradients(fis, X, t)
+            gc, gs = _premise_gradients(fis, X, t, _firing(fis, X))
             nc, ns = self.numerical(fis, X, t)
             scale = max(np.abs(nc).max(), np.abs(ns).max(), 1e-8)
             assert np.abs(gc - nc).max() / scale < 1e-5

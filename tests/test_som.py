@@ -127,13 +127,3 @@ class TestExtractGranules:
         gs = extract_granules(grid, ds)
         assert (gs.support >= 1).all()
         assert gs.support.sum() == len(ds)
-
-    def test_granule_csv(self, tmp_path):
-        ds = small_dataset(30, 2)
-        grid = train_som(ds, (2, 2), SomParams(epochs=5), seed=2)
-        gs = extract_granules(grid, ds)
-        path = tmp_path / "granules.csv"
-        gs.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].endswith("decision,support")
-        assert len(lines) == len(gs) + 1

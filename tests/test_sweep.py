@@ -1,3 +1,6 @@
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from sonfis.dynamics import LoopConfig
 from sonfis.som import SomParams
 from sonfis.sweep import (
     SweepSpec,
+    _cell_seed,
     export_csv,
     load_csv_rows,
     profile_from_rows,
@@ -61,6 +65,81 @@ class TestRunSweep:
         result = run_sweep(spec, train, test, error_fn=explode)
         assert result.cells[0].error is not None
         assert "boom" in result.cells[0].error
+
+
+class TestWorkers:
+    """A sweep's result does not depend on how many processes run it."""
+
+    def run_both(self, spec, train, test, tmp_path, **kwargs):
+        results = [run_sweep(spec, train, test, keep_trajectories=True, workers=w, **kwargs)
+                   for w in (1, 2)]
+        csvs = []
+        for w, result in zip((1, 2), results):
+            export_csv(result, tmp_path / f"sweep{w}.csv")
+            csvs.append((tmp_path / f"sweep{w}.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        serial, pooled = ([[traj.points for traj in cell.trajectories] for cell in r.cells] for r in results)
+        assert serial == pooled
+        assert results[0] == results[1]
+        return results[1]
+
+    def test_sonfis_sweep(self, tiny_data, tmp_path):
+        cfg = LoopConfig(iterations=8, initial_N=30, n_min=4, n_max=60, seed=3, som=SomParams(epochs=2))
+        spec = SweepSpec((0.7, 0.9), (0.001,), (0.5,), (1, 2), 2, cfg, "sonfis", 2)
+        result = self.run_both(spec, *tiny_data, tmp_path)
+        assert [len(cell.metrics) for cell in result.cells] == [2, 2, 2, 2]
+
+    def test_sorst_sweep(self, tiny_data, tmp_path):
+        cfg = LoopConfig(iterations=8, initial_N=30, n_min=4, n_max=60, seed=3, som=SomParams(epochs=2))
+        spec = SweepSpec((0.8, 0.95), (0.001,), (0.5,), (2, 3), 2, cfg, "sorst", 2)
+        result = self.run_both(spec, *tiny_data, tmp_path)
+        assert [len(cell.metrics) for cell in result.cells] == [2, 2, 2, 2]
+
+    def test_lambda_error_stub(self, tiny_data, tmp_path):
+        spec = stub_spec(alphas=(0.7, 0.8, 0.9), repeats=2)
+        self.run_both(spec, *tiny_data, tmp_path, error_fn=lambda t, g: 10.0)
+
+    def test_cell_failing_at_repeat_1_keeps_repeat_0(self, tiny_data, tmp_path, monkeypatch):
+        import sonfis.sweep as sweep_mod
+
+        spec = stub_spec(alphas=(0.7, 0.9), repeats=3)
+        failing_seed = _cell_seed(spec.base_config.seed, 0, 1)
+        real = sweep_mod.run_sonfis
+
+        def run_sonfis(train, test, cfg, p, error_fn=None):
+            if cfg.seed == failing_seed:
+                raise RuntimeError("repeat 1 failed")
+            return real(train, test, cfg, p, error_fn=error_fn)
+
+        monkeypatch.setattr(sweep_mod, "run_sonfis", run_sonfis)
+        result = self.run_both(spec, *tiny_data, tmp_path, error_fn=lambda t, g: 10.0)
+        assert [len(cell.metrics) for cell in result.cells] == [1, 3]
+        assert [len(cell.trajectories) for cell in result.cells] == [1, 3]
+        assert [cell.error for cell in result.cells] == ["RuntimeError: repeat 1 failed", None]
+
+    def test_failing_cells_submit_no_further_repeats(self, tiny_data):
+        # A million repeats per cell: only the repeats already in flight
+        # when a cell's first failure arrives may run, at most two per
+        # worker. The counter lives in memory the forked workers share.
+        calls = multiprocessing.get_context("fork").Value("l", 0)
+
+        def explode(t, granules):
+            with calls.get_lock():
+                calls.value += 1
+            raise RuntimeError("boom")
+
+        train, test = tiny_data
+        spec = stub_spec(alphas=(0.7, 0.8, 0.9), repeats=10**6)
+        start = time.perf_counter()
+        pooled = run_sweep(spec, train, test, error_fn=explode, workers=2)
+        assert time.perf_counter() - start < 30
+        assert calls.value <= len(spec.grid) * 2 * 2
+        assert pooled == run_sweep(spec, train, test, error_fn=explode, workers=1)
+        assert [(len(cell.metrics), cell.error) for cell in pooled.cells] == [(0, "RuntimeError: boom")] * 3
+
+    def test_workers_below_one_rejected(self, tiny_data):
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(stub_spec(), *tiny_data, workers=0)
 
 
 class TestTransitionProfile:
