@@ -62,10 +62,6 @@ class Dataset:
     def input_names(self) -> list[str]:
         return self.attribute_names[:-1]
 
-    @property
-    def decision_name(self) -> str:
-        return self.attribute_names[-1]
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

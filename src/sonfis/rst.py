@@ -22,13 +22,6 @@ class ScalingError(ValueError):
     pass
 
 
-_BIN_NAMES = {
-    2: ["low", "high"],
-    3: ["low", "middle", "high"],
-    4: ["very low", "low", "high", "very high"],
-    5: ["very low", "low", "middle", "high", "very high"],
-}
-
 # The scaling SOMs' schedule. A tight final radius makes each codebook end
 # close to k-means cluster means, not smoothed toward its neighbors.
 SCALING_SOM = SomParams(epochs=30, final_radius=0.2)
@@ -41,14 +34,6 @@ class ScalingMap:
 
     input_codebooks: list[np.ndarray]
     decision_codebook: np.ndarray
-
-    @property
-    def input_bin_counts(self) -> list[int]:
-        return [len(cb) for cb in self.input_codebooks]
-
-    @property
-    def decision_bin_count(self) -> int:
-        return len(self.decision_codebook)
 
     def discretize_inputs(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -77,22 +62,22 @@ class DecisionTable:
         return len(self.decisions)
 
 
-@dataclass
-class DecisionRule:
-    descriptors: tuple[int, ...]  # required bin label per condition attribute
-    decision: int
-    support: int
-    certain: bool
-
-
-@dataclass
+@dataclass(eq=False)
 class RuleSet:
-    rules: list[DecisionRule]
+    """One rule per row: rule i requires bin label `descriptors[i, j]` on
+    condition attribute j and decides `decisions[i]`; `support[i]` objects
+    back it, all with that decision when `certain[i]`. Rows are in rule
+    order, which breaks the classifier's last ties."""
+
+    descriptors: np.ndarray  # (r, a) int labels
+    decisions: np.ndarray  # (r,) int labels
+    support: np.ndarray  # (r,) ints
+    certain: np.ndarray  # (r,) bools
     scaling: ScalingMap
     default_decision: int
 
     def __len__(self) -> int:
-        return len(self.rules)
+        return len(self.decisions)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -100,38 +85,16 @@ class RuleSet:
                 "default_decision": self.default_decision,
                 "rules": [
                     {
-                        "descriptors": list(map(int, r.descriptors)),
-                        "decision": int(r.decision),
-                        "support": int(r.support),
-                        "certain": r.certain,
+                        "descriptors": list(map(int, d)),
+                        "decision": int(c),
+                        "support": int(n),
+                        "certain": bool(k),
                     }
-                    for r in self.rules
+                    for d, c, n, k in zip(self.descriptors, self.decisions, self.support, self.certain)
                 ],
             },
             indent=2,
         )
-
-    def to_text(self, attribute_names=None) -> str:
-        """Human-readable rules, with ordinal names (low..high) whenever an
-        attribute has at most 5 bins."""
-        a = len(self.rules[0].descriptors) if self.rules else len(self.scaling.input_codebooks)
-        names = attribute_names or [f"a{i + 1}" for i in range(a)]
-
-        def bin_name(label: int, count: int) -> str:
-            if count in _BIN_NAMES:
-                return _BIN_NAMES[count][label]
-            return str(label)
-
-        cbins = self.scaling.input_bin_counts
-        dbins = self.scaling.decision_bin_count
-        lines = []
-        for r in self.rules:
-            lhs = " AND ".join(
-                f"{nm}={bin_name(v, cb)}" for nm, v, cb in zip(names, r.descriptors, cbins)
-            )
-            kind = "certain" if r.certain else "possible"
-            lines.append(f"IF {lhs} THEN d={bin_name(r.decision, dbins)} [{kind}, support={r.support}]")
-        return "\n".join(lines)
 
 
 def fit_scaling(train: Dataset, bins: int, seed: int) -> ScalingMap:
@@ -159,31 +122,40 @@ def apply_scaling(scaling: ScalingMap, ds: Dataset) -> DecisionTable:
     return DecisionTable(scaling.discretize_inputs(ds.X), scaling.discretize_decision(ds.y))
 
 
+def _classes(table: DecisionTable, attrs) -> tuple[np.ndarray, np.ndarray]:
+    """The indiscernibility classes over `attrs`, numbered in order of first
+    occurrence: each object's class label, and each class's first object.
+    An empty subset yields one class holding every object."""
+    _, first, inverse = np.unique(
+        table.conditions[:, sorted(attrs)], axis=0, return_index=True, return_inverse=True
+    )
+    rank = np.argsort(np.argsort(first))
+    return rank[inverse.reshape(-1)], np.sort(first)
+
+
+def _value_range(values: np.ndarray, labels: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest of `values` within each class of `_classes`."""
+    lo, hi = values[first], values[first]
+    np.minimum.at(lo, labels, values)
+    np.maximum.at(hi, labels, values)
+    return lo, hi
+
+
 def indiscernibility_partition(table: DecisionTable, attrs) -> list[list[int]]:
     """Blocks of objects agreeing on all of `attrs`; an empty subset yields
     one block holding every object. Blocks in order of first occurrence."""
-    attrs = sorted(attrs)
-    groups: dict[tuple, list[int]] = {}
-    conds = table.conditions
-    for i in range(len(table)):
-        key = tuple(conds[i, a] for a in attrs)
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
+    labels, first = _classes(table, attrs)
+    return [np.flatnonzero(labels == k).tolist() for k in range(len(first))]
 
 
 def approximations(table: DecisionTable, attrs, concept) -> tuple[set[int], set[int]]:
     """Lower and upper approximation of `concept` (a set of object indices)
     w.r.t. the indiscernibility relation over `attrs`."""
     concept = set(concept)
-    lower: set[int] = set()
-    upper: set[int] = set()
-    for block in indiscernibility_partition(table, attrs):
-        bs = set(block)
-        if bs <= concept:
-            lower |= bs
-        if bs & concept:
-            upper |= bs
-    return lower, upper
+    labels, first = _classes(table, attrs)
+    member = np.array([i in concept for i in range(len(table))], dtype=np.int64)
+    lo, hi = _value_range(member, labels, first)
+    return set(np.flatnonzero(lo[labels]).tolist()), set(np.flatnonzero(hi[labels]).tolist())
 
 
 def dependency_degree(table: DecisionTable, conds) -> float:
@@ -191,32 +163,24 @@ def dependency_degree(table: DecisionTable, conds) -> float:
     pure in decision."""
     if len(table) == 0:
         raise ValueError("empty decision table")
-    dec = table.decisions
-    pos = 0
-    for block in indiscernibility_partition(table, conds):
-        vals = dec[block]
-        if (vals == vals[0]).all():
-            pos += len(block)
-    return pos / len(table)
+    labels, first = _classes(table, conds)
+    lo, hi = _value_range(table.decisions, labels, first)
+    return int(np.count_nonzero((lo == hi)[labels])) / len(table)
 
 
 def induce_rules(table: DecisionTable, scaling: ScalingMap) -> RuleSet:
-    """One rule per distinct condition pattern (full conjunction). Pure
-    patterns give certain rules; ambiguous ones resolve to the highest
-    decision label among their objects. The default decision is the majority
-    decision of the table, ties toward the higher label."""
+    """One rule per distinct condition pattern (full conjunction), in order
+    of first occurrence. Pure patterns give certain rules; ambiguous ones
+    resolve to the highest decision label among their objects. The default
+    decision is the majority decision of the table, ties toward the higher
+    label."""
     if len(table) == 0:
         raise ValueError("empty decision table")
-    rules = []
-    for idx in indiscernibility_partition(table, range(table.conditions.shape[1])):
-        decisions = table.decisions[idx]
-        certain = bool((decisions == decisions[0]).all())
-        decision = int(decisions[0]) if certain else int(decisions.max())
-        rules.append(DecisionRule(tuple(map(int, table.conditions[idx[0]])), decision, len(idx), certain))
+    labels, first = _classes(table, range(table.conditions.shape[1]))
+    lo, hi = _value_range(table.decisions, labels, first)
     counts = np.bincount(table.decisions)
-    best = counts.max()
-    default = int(np.nonzero(counts == best)[0].max())
-    return RuleSet(rules, scaling, default)
+    default = int(np.nonzero(counts == counts.max())[0].max())
+    return RuleSet(table.conditions[first], hi, np.bincount(labels), lo == hi, scaling, default)
 
 
 def classify_rows(rules: RuleSet, X) -> np.ndarray:
@@ -225,11 +189,9 @@ def classify_rows(rules: RuleSet, X) -> np.ndarray:
     Hamming distance (ties toward larger support, then higher decision, then
     the earlier rule); an empty rule set yields the default."""
     patterns = rules.scaling.discretize_inputs(X)
-    if not rules.rules:
+    if not len(rules):
         return np.full(len(patterns), rules.default_decision, dtype=np.int64)
-    descriptors = np.array([r.descriptors for r in rules.rules], dtype=np.int64)
-    support = np.array([r.support for r in rules.rules], dtype=np.int64)
-    decision = np.array([r.decision for r in rules.rules], dtype=np.int64)
+    descriptors = rules.descriptors
     dist = np.zeros((len(patterns), len(descriptors)), dtype=np.int64)
     for j in range(descriptors.shape[1]):
         dist += patterns[:, j, None] != descriptors[None, :, j]
@@ -237,11 +199,11 @@ def classify_rows(rules: RuleSet, X) -> np.ndarray:
     best = dist == nearest[:, None]  # argmax below takes the first candidate
     inexact = nearest > 0
     candidates = best[inexact]
-    for key in (support, decision):
+    for key in (rules.support, rules.decisions):
         keyed = np.where(candidates, key, np.iinfo(np.int64).min)
         candidates &= keyed == keyed.max(axis=1, keepdims=True)
     best[inexact] = candidates
-    return decision[best.argmax(axis=1)]
+    return rules.decisions[best.argmax(axis=1)]
 
 
 def classify(rules: RuleSet, x) -> int:

@@ -267,16 +267,17 @@ class TestCriterion6:
         lower, upper = approximations(table, (0,), concept)
         gamma = dependency_degree(table, (0,))
         scaling = ScalingMap([np.array([0.25, 0.75])], np.array([0.25, 0.75]))
-        rules = {r.descriptors: r for r in induce_rules(table, scaling).rules}
-        ambiguous = rules[(1,)]
+        rules = induce_rules(table, scaling)
+        ambiguous = rules.descriptors[:, 0].tolist().index(1)
+        decision = int(rules.decisions[ambiguous])
         ok = (
             lower == {0, 1}
             and upper == {0, 1, 2, 3}
             and gamma == 0.5
-            and ambiguous.decision == 1
-            and not ambiguous.certain
+            and decision == 1
+            and not rules.certain[ambiguous]
         )
-        report(6, ok, f"lower={lower}, upper={upper}, gamma={gamma}, ambiguous->d={ambiguous.decision}")
+        report(6, ok, f"lower={lower}, upper={upper}, gamma={gamma}, ambiguous->d={decision}")
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from sonfis.dataset import Dataset
 from sonfis.rst import (
     SCALING_SOM,
-    DecisionRule,
     DecisionTable,
     RuleSet,
     ScalingError,
@@ -43,8 +42,23 @@ tables = st.integers(1, 6).flatmap(
 )
 
 
+# strategy: random decision tables with 1-3 condition attributes and 1-8 rows
+rule_tables = st.tuples(st.integers(1, 3), st.integers(1, 8)).flatmap(
+    lambda an: st.tuples(
+        st.lists(st.lists(st.integers(0, 2), min_size=an[0], max_size=an[0]), min_size=an[1], max_size=an[1]),
+        st.lists(st.integers(0, 3), min_size=an[1], max_size=an[1]),
+    )
+)
+
+
 def build(conds, decs):
     return DecisionTable(np.array(conds, dtype=int), np.array(decs, dtype=int))
+
+
+def rule_rows(rules):
+    """Each rule as (descriptors, decision, support, certain), in rule order."""
+    return list(zip(map(tuple, rules.descriptors.tolist()), rules.decisions.tolist(),
+                    rules.support.tolist(), rules.certain.tolist()))
 
 
 class TestFitScaling:
@@ -223,12 +237,12 @@ class TestPartitionApproximations:
 class TestInduceClassify:
     def test_t0_rules(self, t0, t0_scaling):
         rules = induce_rules(t0, t0_scaling)
-        by_pattern = {r.descriptors: r for r in rules.rules}
+        by_pattern = {r[0]: r for r in rule_rows(rules)}
         assert len(rules) == 2
-        r0 = by_pattern[(0,)]
-        assert r0.certain and r0.decision == 0 and r0.support == 2
-        r1 = by_pattern[(1,)]
-        assert not r1.certain and r1.decision == 1 and r1.support == 2  # highest label wins
+        _, decision, support, certain = by_pattern[(0,)]
+        assert certain and decision == 0 and support == 2
+        _, decision, support, certain = by_pattern[(1,)]
+        assert not certain and decision == 1 and support == 2  # highest label wins
 
     def test_default_decision_majority_ties_high(self, t0_scaling):
         table = DecisionTable(np.array([[0], [1]]), np.array([0, 1]))
@@ -266,24 +280,54 @@ class TestInduceClassify:
             for x, d in zip(X, table.decisions):
                 assert classify(rules, x) == d
 
+    @given(rule_tables)
+    @settings(max_examples=300, deadline=None)
+    def test_rules_match_the_per_block_loop(self, tbl):
+        """Rule order, descriptors, decisions, support, certainty and the
+        default decision equal the per-block loop's; `classify_rows`
+        breaks its last ties by rule order."""
+        conds, decs = tbl
+        scaling = ScalingMap([np.array([0.0, 0.5, 1.0])] * len(conds[0]), np.array([0.0, 1.0]))
+        rules = induce_rules(build(conds, decs), scaling)
+        expected, default = ref_induce_rules(conds, decs)
+        assert rule_rows(rules) == expected
+        assert rules.default_decision == default
+
+
+def ref_induce_rules(conds, decs):
+    """The per-block dict loop: one rule per distinct row pattern, in order
+    of first occurrence, an ambiguous one deciding its highest label; the
+    default is the majority decision, ties toward the higher label."""
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(conds):
+        groups.setdefault(tuple(row), []).append(i)
+    rules = []
+    for pattern, idx in groups.items():
+        decisions = [decs[i] for i in idx]
+        certain = len(set(decisions)) == 1
+        rules.append((pattern, decisions[0] if certain else max(decisions), len(idx), certain))
+    counts = {d: decs.count(d) for d in decs}
+    default = max(d for d, c in counts.items() if c == max(counts.values()))
+    return rules, default
+
 
 def ref_classify(rules, x):
     """The per-rule classifier loop: the first exact match, else the least
     (distance, -support, -decision), ties to the earlier rule."""
     pattern = tuple(map(int, rules.scaling.discretize_inputs(np.asarray(x, dtype=np.float64).reshape(1, -1))[0]))
-    if not rules.rules:
+    if not len(rules):
         return rules.default_decision
-    best_rule = None
+    best_decision = None
     best_key = None
-    for r in rules.rules:
-        dist = sum(p != q for p, q in zip(pattern, r.descriptors))
+    for descriptors, decision, support in zip(rules.descriptors, rules.decisions, rules.support):
+        dist = sum(p != q for p, q in zip(pattern, descriptors))
         if dist == 0:
-            return r.decision
-        key = (dist, -r.support, -r.decision)
+            return decision
+        key = (dist, -support, -decision)
         if best_key is None or key < best_key:
             best_key = key
-            best_rule = r
-    return best_rule.decision
+            best_decision = decision
+    return best_decision
 
 
 class TestClassifierParity:
@@ -294,10 +338,12 @@ class TestClassifierParity:
     SCALING = ScalingMap([np.array([0.0, 0.5, 1.0])] * 3, np.array([0.0, 0.5, 1.0]))
 
     def random_rules(self, rng, n_rules):
-        rules = [DecisionRule(tuple(map(int, rng.integers(0, 3, 3))), int(rng.integers(0, 3)),
-                              int(rng.integers(1, 3)), bool(rng.integers(0, 2)))
-                 for _ in range(n_rules)]
-        return RuleSet(rules, self.SCALING, int(rng.integers(0, 3)))
+        # Drawn rule by rule: pattern, decision, support, certainty.
+        rows = [(*rng.integers(0, 3, 3), rng.integers(0, 3), rng.integers(1, 3), rng.integers(0, 2))
+                for _ in range(n_rules)]
+        cols = np.array(rows, dtype=np.int64).reshape(n_rules, 6)
+        return RuleSet(cols[:, :3], cols[:, 3], cols[:, 4], cols[:, 5].astype(bool),
+                       self.SCALING, int(rng.integers(0, 3)))
 
     def test_random_rule_sets(self):
         rng = np.random.default_rng(0)
@@ -312,14 +358,16 @@ class TestClassifierParity:
             assert mse(rules, Dataset(X, y)) == float(np.mean((real - np.array(expected)) ** 2))
 
     def test_exact_match_after_closer_keyed_rules(self):
-        rules = RuleSet([DecisionRule((0, 0, 1), 2, 9, True),  # distance 1, larger support
-                         DecisionRule((0, 0, 0), 1, 1, True),  # first exact match
-                         DecisionRule((0, 0, 0), 0, 5, True)], self.SCALING, 2)
+        rules = RuleSet(np.array([[0, 0, 1],  # distance 1, larger support
+                                  [0, 0, 0],  # first exact match
+                                  [0, 0, 0]]),
+                        np.array([2, 1, 0]), np.array([9, 1, 5]), np.ones(3, dtype=bool), self.SCALING, 2)
         x = [0.0, 0.1, 0.2]
         assert classify(rules, x) == ref_classify(rules, x) == 1
 
     def test_empty_rule_set_gives_default(self):
-        rules = RuleSet([], self.SCALING, 2)
+        empty = np.empty(0, dtype=np.int64)
+        rules = RuleSet(np.empty((0, 3), dtype=np.int64), empty, empty, empty.astype(bool), self.SCALING, 2)
         X = np.array([[0.0, 0.5, 1.0], [1.0, 1.0, 1.0]])
         assert classify(rules, X[0]) == ref_classify(rules, X[0]) == 2
         assert mse(rules, Dataset(X, np.array([0.0, 1.0]))) == 2.0
@@ -355,6 +403,5 @@ def test_rules_serialization(t0, t0_scaling):
     rules = induce_rules(t0, t0_scaling)
     doc = json.loads(rules.to_json())
     assert len(doc["rules"]) == 2
-    text = rules.to_text(["a"])
-    assert "IF a=low THEN d=low [certain, support=2]" in text
-    assert "IF a=high THEN d=high [possible, support=2]" in text
+    assert doc["rules"][0] == {"descriptors": [0], "decision": 0, "support": 2, "certain": True}
+    assert doc["rules"][1] == {"descriptors": [1], "decision": 1, "support": 2, "certain": False}
