@@ -151,20 +151,19 @@ def load_config(path) -> RunConfig:
     system = sweep_doc.get("system", "sonfis")
     if system not in ("sonfis", "sorst"):
         raise ConfigError(f"$.sweep.system: must be 'sonfis' or 'sorst', got {system!r}")
-    # extras are rule counts (sonfis) or bin counts (sorst).
-    axes = {
-        "alphas": (noise.alpha, float, 0.0),
-        "betas": (noise.beta, float, 0.0),
-        "gammas": (noise.gamma, float, None),
-        "extras": (loop.n_rules, int, 1) if system == "sonfis" else (loop.bins, int, 2, MAX_NEURONS),
-    }
+    # Each axis lists values of one config key, checked as that key is; extras
+    # are rule counts (sonfis) or bin counts (sorst), one integer per cell.
+    axes = {"alphas": (noise, "alpha"), "betas": (noise, "beta"), "gammas": (noise, "gamma"),
+            "extras": (loop, "n_rules" if system == "sonfis" else "bins")}
     if system == "sorst" and isinstance(loop.bins, tuple) and "extras" not in sweep_doc:
         raise ConfigError("$.sweep.extras: required for a 'sorst' sweep when bins is a list")
     grid = {}
-    for key, (default, kind, *bounds) in axes.items():
-        vals = sweep_doc.get(key, [default])
+    for key, (params, name) in axes.items():
+        vals = sweep_doc.get(key, [getattr(params, name)])
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"$.sweep.{key}: must be a non-empty list")
+        kind, *bounds = {**NOISE_KEYS, **LOOP_KEYS}[name]
+        kind = int if kind is tuple else kind
         checked = [_number(v, f"$.sweep.{key}[{i}]", kind, *bounds) for i, v in enumerate(vals)]
         # Parameter values keep their JSON form, so an integer alpha is
         # written to sweep.csv as `1`, not `1.0`.
@@ -282,19 +281,12 @@ def execute(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # Built per call, so a command function replaced on the module is the
+    # one that runs.
+    commands = {"gen-data": _cmd_gen_data, "run-sonfis": lambda a: _cmd_run(a, "sonfis"),
+                "run-sorst": lambda a: _cmd_run(a, "sorst"), "sweep": _cmd_sweep, "report": _cmd_report}
     try:
-        if args.command == "gen-data":
-            return _cmd_gen_data(args)
-        if args.command == "run-sonfis":
-            return _cmd_run(args, "sonfis")
-        if args.command == "run-sorst":
-            return _cmd_run(args, "sorst")
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        print(f"unknown command {args.command!r}", file=sys.stderr)
-        return 2
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -111,12 +111,6 @@ class Trajectory:
             w.writerow(self.CSV_HEADER)
             w.writerows(astuple(p) for p in self.points)
 
-    def N_series(self) -> np.ndarray:
-        return np.array([p.N for p in self.points], dtype=np.float64)
-
-    def E_series(self) -> np.ndarray:
-        return np.array([p.E for p in self.points], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class OrderMetrics:
@@ -218,8 +212,8 @@ def order_metrics(traj: Trajectory, burn_in: int = 0) -> OrderMetrics:
     LAMINAR_CV, disordered above DISORDERED_CV, transition between."""
     if burn_in >= len(traj):
         raise ValueError("burn_in must be smaller than the trajectory length")
-    NG = traj.N_series()[burn_in:]
-    E = traj.E_series()[burn_in:]
+    NG = np.array([p.N for p in traj.points[burn_in:]], dtype=np.float64)
+    E = np.array([p.E for p in traj.points[burn_in:]], dtype=np.float64)
     mean = float(NG.mean())
     std = float(NG.std())  # population std
     cv = std / mean if mean > 0 else 0.0

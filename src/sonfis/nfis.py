@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .dataset import Dataset
 from .som import GranuleSet
 
@@ -40,10 +41,6 @@ class FuzzyRuleBase:
     @property
     def n_rules(self) -> int:
         return len(self.centers)
-
-    @property
-    def n_inputs(self) -> int:
-        return self.centers.shape[1]
 
     def to_json(self) -> str:
         rules = [
@@ -108,32 +105,33 @@ def _consequent_values(fis: FuzzyRuleBase, X: np.ndarray) -> np.ndarray:
     return X @ fis.coeffs[:, :-1].T + fis.coeffs[:, -1]
 
 
-def _nearest_rule(fis: FuzzyRuleBase, X: np.ndarray) -> np.ndarray:
-    """Index of the rule center nearest each row of `X`, (n,): the fallback
-    for rows whose total firing strength underflows to zero."""
-    return np.argmin(((X[:, None, :] - fis.centers[None, :, :]) ** 2).sum(axis=2), axis=1)
+def _defuzzify(w: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted average of the rule outputs `f` under the firing strengths
+    `w`, both (n, R). Returns the output `y`, the total firing `sw` and the
+    mask `ok = sw > 0`, all (n,); `y` is NaN where the total firing
+    underflows to zero, and callers replace or drop those rows."""
+    sw = w.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        y = (w * f).sum(axis=1) / sw
+    return y, sw, sw > 0
 
 
 def predict(fis: FuzzyRuleBase, X: np.ndarray) -> np.ndarray:
     """Weighted-average defuzzification over all rules; rows whose total
-    firing strength underflows to zero fall back to the nearest-center
-    rule's consequent."""
+    firing strength underflows to zero fall back to the consequent of the
+    rule with the nearest center (ties to the lower rule index)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    w = _firing(fis, X)
     f = _consequent_values(fis, X)
-    sw = w.sum(axis=1)
-    out = np.empty(len(X))
-    ok = sw > 0
-    out[ok] = (w[ok] * f[ok]).sum(axis=1) / sw[ok]
-    if (~ok).any():
-        out[~ok] = f[~ok, _nearest_rule(fis, X[~ok])]
+    out, _, ok = _defuzzify(_firing(fis, X), f)
+    if not ok.all():
+        out[~ok] = f[~ok, kernels.assign_bmus(X[~ok], fis.centers)]
     return out
 
 
 def _solve_consequents(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Least-squares consequents on the weight-normalized design, given the
     firing strengths `w = _firing(fis, X)`. Rows with underflowed firing use
-    a one-hot weight on `_nearest_rule`, the inference fallback.
+    a one-hot weight on the nearest-center rule, the fallback of `predict`.
     Minimum-norm solution when rank-deficient."""
     n, d = X.shape
     R = fis.n_rules
@@ -141,8 +139,8 @@ def _solve_consequents(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray, w: np.n
     wn = np.zeros_like(w)
     ok = sw > 0
     wn[ok] = w[ok] / sw[ok, None]
-    if (~ok).any():
-        wn[np.nonzero(~ok)[0], _nearest_rule(fis, X[~ok])] = 1.0
+    if not ok.all():
+        wn[np.nonzero(~ok)[0], kernels.assign_bmus(X[~ok], fis.centers)] = 1.0
     X1 = np.column_stack([X, np.ones(n)])
     design = (wn[:, :, None] * X1[:, None, :]).reshape(n, R * (d + 1))
     sol, *_ = np.linalg.lstsq(design, t, rcond=None)
@@ -155,14 +153,12 @@ def _premise_gradients(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray,
     given the firing strengths `w = _firing(fis, X)`. Rows with underflowed
     total firing contribute nothing."""
     f = _consequent_values(fis, X)
-    sw = w.sum(axis=1)
-    ok = sw > 0
+    y, sw, ok = _defuzzify(w, f)
     gc = np.zeros_like(fis.centers)
     gs = np.zeros_like(fis.widths)
     if not ok.any():
         return gc, gs
-    Xo, wo, fo, swo = X[ok], w[ok], f[ok], sw[ok]
-    y = (wo * fo).sum(axis=1) / swo
+    Xo, wo, fo, swo, y = X[ok], w[ok], f[ok], sw[ok], y[ok]
     r = y - t[ok]
     # dE/dw_i = (2/n) * r * (f_i - y) / sw  (n = full sample count)
     dE_dw = (2.0 / len(X)) * r[:, None] * (fo - y[:, None]) / swo[:, None]

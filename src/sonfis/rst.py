@@ -29,24 +29,20 @@ SCALING_SOM = SomParams(epochs=30, final_radius=0.2)
 
 @dataclass
 class ScalingMap:
-    """Per-attribute sorted codebooks of bin centers; bin label = index of
-    the nearest center (ties toward the lower label)."""
+    """Sorted codebooks of bin centers, one row per input attribute and one
+    for the decision; bin label = index of the nearest center (ties toward
+    the lower label)."""
 
-    input_codebooks: list[np.ndarray]
-    decision_codebook: np.ndarray
+    input_codebooks: np.ndarray  # (a, bins)
+    decision_codebook: np.ndarray  # (bins,)
 
     def discretize_inputs(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        cols = [_nearest_label(X[:, j], cb) for j, cb in enumerate(self.input_codebooks)]
-        return np.column_stack(cols)
+        return np.abs(X[:, :, None] - self.input_codebooks).argmin(axis=2)
 
     def discretize_decision(self, y: np.ndarray) -> np.ndarray:
-        return _nearest_label(np.asarray(y, dtype=np.float64), self.decision_codebook)
-
-
-def _nearest_label(values: np.ndarray, codebook: np.ndarray) -> np.ndarray:
-    d = np.abs(values[:, None] - codebook[None, :])
-    return np.argmin(d, axis=1).astype(np.int64)
+        y = np.asarray(y, dtype=np.float64)
+        return np.abs(y[:, None] - self.decision_codebook).argmin(axis=1)
 
 
 @dataclass
@@ -114,7 +110,7 @@ def fit_scaling(train: Dataset, bins: int, seed: int) -> ScalingMap:
             raise ScalingError(f"constant attribute {name!r}")
         if not (np.diff(cb) > 0).all():
             raise ScalingError(f"degenerate codebook for attribute {name!r}")
-    return ScalingMap(list(codebooks[:-1]), codebooks[-1])
+    return ScalingMap(codebooks[:-1], codebooks[-1])
 
 
 def apply_scaling(scaling: ScalingMap, ds: Dataset) -> DecisionTable:

@@ -130,15 +130,15 @@ def train_column_soms(data: np.ndarray, units: int, params: SomParams, seeds) ->
     for j, seed in enumerate(seeds):
         protos[j] = _initial_prototypes(data[:, j:j + 1], units, seed)[:, 0]
     offsets = np.arange(c) * units
-    values = data.ravel()
+    values = data.reshape(n * c, 1)
     for H in _neighbourhoods(1, units, params):
         d2 = data[:, :, None] - protos[None, :, :]
         d2 *= d2
-        # Slot j*units + bmu: bincount adds each slot's records in record
-        # order, as accumulate_by_bmu does for one column.
+        # Slot j*units + bmu over the values in record order: each slot sums
+        # its records in record order, as train_som does for one column.
         slots = (d2.argmin(axis=2) + offsets).ravel()
-        sums = np.bincount(slots, weights=values, minlength=c * units).reshape(c, units, 1)
-        counts = np.bincount(slots, minlength=c * units).astype(np.float64).reshape(c, units, 1)
+        sums, counts = kernels.accumulate_by_bmu(values, slots, c * units)
+        sums, counts = sums.reshape(c, units, 1), counts.reshape(c, units, 1)
         # A stack of matrix-vector products, one per column, as train_som
         # computes them: one (units, c) matrix product may round otherwise.
         numer = (H @ sums)[:, :, 0]
@@ -162,12 +162,10 @@ def extract_granules(grid: SomGrid, train: Dataset) -> GranuleSet:
     of the records whose BMU it is. Dead neurons are dropped."""
     X = np.ascontiguousarray(train.X, dtype=np.float64)
     bmus = kernels.assign_bmus(X, np.ascontiguousarray(grid.prototypes))
-    N = grid.n_neurons
-    hits = np.bincount(bmus, minlength=N)
-    dec_sums = np.bincount(bmus, weights=train.y, minlength=N)
+    dec_sums, hits = kernels.accumulate_by_bmu(train.y.reshape(-1, 1), bmus, grid.n_neurons)
     live = hits > 0
     return GranuleSet(
         inputs=grid.prototypes[live].copy(),
-        decisions=dec_sums[live] / hits[live],
-        support=hits[live],
+        decisions=dec_sums[live, 0] / hits[live],
+        support=hits[live].astype(np.int64),
     )

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, DatasetError
 from .dynamics import LoopConfig, NoiseParams, OrderMetrics, order_metrics, run_sonfis, run_sorst_as
 
 # The sweep CSV's columns, in order, each with the type `load_csv_rows`
@@ -60,15 +60,11 @@ class CellResult:
     trajectories: list | None = None
 
     @property
-    def mean_NG_values(self) -> np.ndarray:
-        return np.array([m.mean_NG for m in self.metrics])
-
-    @property
     def std_NG_values(self) -> np.ndarray:
         return np.array([m.std_NG for m in self.metrics])
 
     def aggregate(self) -> dict:
-        ngs = self.mean_NG_values
+        ngs = np.array([m.mean_NG for m in self.metrics])
         es = np.array([m.mean_E for m in self.metrics])
         return {
             "mean_NG": float(ngs.mean()),
@@ -219,12 +215,37 @@ def export_csv(result: SweepResult, path) -> None:
 
 
 def load_csv_rows(path) -> list[dict]:
-    """Parse an exported sweep CSV back into typed row dicts."""
+    """Parse an exported sweep CSV back into typed row dicts; blank lines
+    are skipped. A file that is not text, a header other than
+    `CSV_HEADER`, a row with the wrong number of cells, a cell its column's
+    type cannot parse, or no rows at all raise DatasetError, naming the row
+    (1-based, excluding the header) and the column."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER:
-            raise ValueError(f"unexpected sweep CSV header: {reader.fieldnames}")
-        return [{col: parse(row[col]) for col, parse in COLUMNS.items()} for row in reader]
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: cannot decode: {exc}") from None
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != CSV_HEADER:
+        raise DatasetError(f"{path}: unexpected sweep CSV header: {header}")
+    rows = []
+    for r, cells in enumerate(reader, start=1):
+        if not cells:
+            continue
+        if len(cells) != len(COLUMNS):
+            raise DatasetError(f"{path}: row {r}: expected {len(COLUMNS)} cells, got {len(cells)}")
+        row = {}
+        for (col, parse), cell in zip(COLUMNS.items(), cells):
+            try:
+                row[col] = parse(cell)
+            except ValueError:
+                raise DatasetError(f"{path}: row {r}, column {col!r}: "
+                                   f"expected {parse.__name__}, got {cell!r}") from None
+        rows.append(row)
+    if not rows:
+        raise DatasetError(f"{path}: no sweep rows")
+    return rows
 
 
 def profile_from_rows(rows: list[dict], axis: str) -> dict:

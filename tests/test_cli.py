@@ -27,6 +27,7 @@ SMALL = {
     "som": {"epochs": 3},
     "nfis": {"epochs": 3},
 }
+SWEEP_CSV_HEADER = "alpha,beta,gamma,extra,repeat,mean_NG,std_NG,mean_E,regime\n"
 
 # Each config, merged over SMALL, with the subcommand that reads it and the
 # start of the error message that names the offending field.
@@ -275,6 +276,21 @@ class TestExecute:
         doc = {"dataset": {"csv": str(tmp_path / "absent.csv"), "decision_column": "q"}}
         cfg = write_config(tmp_path, doc)
         assert execute(["run-sonfis", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("alpha,beta\n0.9,0.001\n", "unexpected sweep CSV header"),
+        (SWEEP_CSV_HEADER, "no sweep rows"),
+        (SWEEP_CSV_HEADER + "0.9,0.001,0.5,2,0,abc,1.0,0.2,laminar\n", "row 1, column 'mean_NG'"),
+        (SWEEP_CSV_HEADER + "0.9,0.001,0.5,2,0,12.0,1.0,0.2,laminar\n0.9,0.001,0.5,2,1,12.0\n",
+         "row 2: expected 9 cells, got 6"),
+        (SWEEP_CSV_HEADER.encode() + b"0.9,\xff\n", "cannot decode"),
+    ], ids=["wrong-header", "header-only", "non-numeric-cell", "short-row", "undecodable"])
+    def test_report_on_bad_sweep_csv_exits_3(self, tmp_path, capsys, text, message):
+        path = tmp_path / "sweep.csv"
+        path.write_bytes(text.encode() if isinstance(text, str) else text)
+        assert execute(["report", "--sweep-csv", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and message in err
 
     def test_sweep_and_report_round_trip(self, tmp_path):
         doc = dict(

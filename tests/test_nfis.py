@@ -7,6 +7,7 @@ from sonfis.nfis import (
     NfisTrainParams,
     _firing,
     _premise_gradients,
+    _solve_consequents,
     init_rulebase,
     predict,
     rmse,
@@ -77,6 +78,20 @@ class TestInfer:
         )
         assert predict(fis, [[0.8]])[0] == pytest.approx(5.0)
         assert predict(fis, [[0.1]])[0] == pytest.approx(-5.0)
+
+    def test_underflow_tie_goes_to_the_lower_rule(self):
+        # Row 0 lies exactly halfway between the two centers, row 1 nearer
+        # the second; neither fires.
+        fis = FuzzyRuleBase(np.array([[0.0, 0.0], [1.0, 1.0]]), np.full((2, 2), 1e-3),
+                            np.array([[0.0, 0.0, -5.0], [0.0, 0.0, 5.0]]))
+        X = np.array([[0.5, 0.5], [0.9, 0.8]])
+        assert _firing(fis, X).sum(axis=1).tolist() == [0.0, 0.0]
+        assert predict(fis, X).tolist() == [-5.0, 5.0]
+        # One-hot weights: row 0 fits rule 0 alone and row 1 rule 1 alone,
+        # each by the minimum-norm solution t * [x, 1] / |[x, 1]|**2.
+        t = np.array([3.0, 2.0])
+        expected = [t[0] * np.array([0.5, 0.5, 1.0]) / 1.5, t[1] * np.array([0.9, 0.8, 1.0]) / 2.45]
+        assert np.allclose(_solve_consequents(fis, X, t, _firing(fis, X)), expected)
 
     def test_output_is_convex_combination_of_consequents(self):
         rng = np.random.default_rng(0)

@@ -131,7 +131,56 @@ class TestScalingParity:
             fit_scaling(Dataset(X, rng.random(60)), 5, seed=0)
 
 
+def ref_nearest_label(values, codebook):
+    """One column's labels, as `ScalingMap` once discretized column by
+    column: the reference for the array discretization."""
+    d = np.abs(values[:, None] - codebook[None, :])
+    return np.argmin(d, axis=1).astype(np.int64)
+
+
+# Multiples of 1/8: midpoints of two centers, and their distances to both,
+# are exact, so a midpoint ties.
+DYADIC = st.integers(-80, 80).map(lambda i: i / 8)
+
+
+@st.composite
+def scaling_cases(draw):
+    """Sorted codebooks (a + 1, bins) of distinct centers, inputs then the
+    decision; values (n, a + 1) to discretize, each a free float, a center
+    or the exact midpoint of centers k and k + 1; and `ties` (n, a + 1),
+    holding k at each midpoint and -1 elsewhere."""
+    a, bins, n = draw(st.integers(1, 3)), draw(st.integers(2, 5)), draw(st.integers(1, 8))
+    codebooks = np.array([sorted(draw(st.lists(DYADIC, min_size=bins, max_size=bins, unique=True)))
+                          for _ in range(a + 1)])
+    values = np.empty((n, a + 1))
+    ties = np.full((n, a + 1), -1)
+    for i in range(n):
+        for j, cb in enumerate(codebooks):
+            k = draw(st.integers(-1, bins - 2))
+            if k >= 0:
+                values[i, j], ties[i, j] = (cb[k] + cb[k + 1]) / 2, k
+            else:
+                values[i, j] = draw(st.one_of(st.floats(-20, 20), st.sampled_from(cb.tolist())))
+    return codebooks, values, ties
+
+
 class TestApplyScaling:
+    @settings(max_examples=300, deadline=None)
+    @given(scaling_cases())
+    def test_matches_the_per_column_loop(self, case):
+        codebooks, values, ties = case
+        sm = ScalingMap(codebooks[:-1], codebooks[-1])
+        X, y = values[:, :-1], values[:, -1]
+        ref_X = np.column_stack([ref_nearest_label(X[:, j], cb) for j, cb in enumerate(codebooks[:-1])])
+        ref_y = ref_nearest_label(y, codebooks[-1])
+        table = apply_scaling(sm, Dataset(X, y))
+        for got, ref in ((sm.discretize_inputs(X), ref_X), (sm.discretize_decision(y), ref_y),
+                         (table.conditions, ref_X), (table.decisions, ref_y)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref)
+        labels = np.column_stack([sm.discretize_inputs(X), sm.discretize_decision(y)])
+        assert np.array_equal(labels[ties >= 0], ties[ties >= 0])  # midpoints go to the lower label
+
     def test_exact_center_and_tie(self):
         sm = ScalingMap([np.array([0.0, 1.0])], np.array([0.0, 1.0]))
         ds = Dataset(np.array([[0.0], [0.5], [1.0]]), np.array([0.0, 0.5, 1.0]))
