@@ -23,26 +23,20 @@ from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from . import dynamics, sweep as sweep_mod
-from .dataset import Dataset, DatasetError, SplitSpec, gen_synthetic, load_csv, min_max_normalize, split
+from .dataset import (Dataset, DatasetError, SplitSpec, bound_error, gen_synthetic, load_csv, min_max_normalize,
+                      split)
 from .dynamics import LoopConfig, NoiseParams
 from .nfis import NfisTrainParams
-from .som import MAX_NEURONS, SomParams
+from .som import SomParams
 
 
 class ConfigError(ValueError):
     pass
 
 
-# Each config section's numeric keys as {key: (kind, minimum[, maximum])}; a
-# key the file leaves out takes the default of the parameter object it builds.
-NOISE_KEYS = {"alpha": (float, 0.0), "beta": (float, 0.0), "gamma": (float, None)}
-# n_max and bins are neuron counts of one SOM, so som.MAX_NEURONS bounds them.
-LOOP_KEYS = {"iterations": (int, 1, sys.maxsize), "n_rules": (int, 1), "bins": (tuple, 2, MAX_NEURONS),
-             "n_min": (int, 2), "n_max": (int, 2, MAX_NEURONS), "initial_N": (int, 1), "seed": (int, 0)}
-SPLIT_KEYS = {"n_train": (int, 1), "n_test": (int, 1), "shuffle_seed": (int, 0)}
-SOM_KEYS = {"epochs": (int, 1), "initial_radius": (float, 0.0), "final_radius": (float, None)}
-NFIS_KEYS = {"epochs": (int, 1), "premise_learning_rate": (float, None)}
-SWEEP_KEYS = {"repeats": (int, 1, sys.maxsize), "burn_in": (int, 0)}
+# A section's numeric keys are the `FIELDS` table of the parameter object it
+# builds, and omitted keys take its defaults. `gen_synthetic`'s arguments,
+# from a config or the `gen-data` flags, have this table instead.
 SYNTHETIC_KEYS = {"n": (int, 1), "noise_sd": (float, 0.0), "seed": (int, 0)}
 # `gen_synthetic`'s arguments where a config or `gen-data` leaves them out.
 SYNTHETIC_DEFAULTS = {"n": 693, "noise_sd": 0.05, "seed": 7}
@@ -80,12 +74,10 @@ def _number(val, where: str, kind=float, minimum=None, maximum=None):
         raise ConfigError(f"{where}: expected a finite number, got {val!r}")
     if kind is int and int(val) != val:
         raise ConfigError(f"{where}: expected an integer, got {val!r}")
-    if maximum is not None and val > maximum:
-        raise ConfigError(f"{where}: must be <= {maximum}, got {val!r}")
-    val = kind(val)
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{where}: must be >= {minimum}, got {val}")
-    return val
+    problem = bound_error(val, minimum, maximum)
+    if problem:
+        raise ConfigError(f"{where}: {problem}")
+    return kind(val)
 
 
 def _values(obj: dict, table: dict, path: str, cls=None) -> dict:
@@ -109,14 +101,17 @@ def _build(path: str, cls, **kwargs):
 def load_config(path) -> RunConfig:
     """Read and validate the JSON run configuration."""
     try:
-        raw = Path(path).read_text()
+        raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot decode: {exc}") from None
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    _check_keys(doc, {*NOISE_KEYS, *LOOP_KEYS, "dataset", "split", "som", "nfis", "sweep"}, "$")
+    top_keys = {*NoiseParams.FIELDS, *LoopConfig.FIELDS, "dataset", "split", "som", "nfis", "sweep"}
+    _check_keys(doc, top_keys, "$")
 
     src = doc.get("dataset", {"synthetic": {}})
     _check_keys(src, {"csv", "decision_column", "synthetic"}, "$.dataset")
@@ -136,18 +131,19 @@ def load_config(path) -> RunConfig:
         raise ConfigError("$.dataset: one of 'csv' or 'synthetic' is required")
 
     sections = {}
-    for key, table, cls in (("split", SPLIT_KEYS, SplitSpec), ("som", SOM_KEYS, SomParams),
-                            ("nfis", NFIS_KEYS, NfisTrainParams)):
+    for key, cls in (("split", SplitSpec), ("som", SomParams), ("nfis", NfisTrainParams)):
         section = doc.get(key, {})
-        _check_keys(section, table, f"$.{key}")
-        sections[key] = _build(f"$.{key}", cls, **_values(section, table, f"$.{key}", cls))
-    noise = _build("$", NoiseParams, **_values(doc, NOISE_KEYS, "$"))
-    loop = _build("$", LoopConfig, **_values(doc, LOOP_KEYS, "$"), som=sections["som"], nfis=sections["nfis"])
+        _check_keys(section, cls.FIELDS, f"$.{key}")
+        sections[key] = _build(f"$.{key}", cls, **_values(section, cls.FIELDS, f"$.{key}", cls))
+    noise = _build("$", NoiseParams, **_values(doc, NoiseParams.FIELDS, "$"))
+    loop = _build("$", LoopConfig, **_values(doc, LoopConfig.FIELDS, "$"),
+                  som=sections["som"], nfis=sections["nfis"])
 
     sweep_doc = doc.get("sweep")
     if sweep_doc is None:
         sweep_doc = {}
-    _check_keys(sweep_doc, {"alphas", "betas", "gammas", "extras", "system", *SWEEP_KEYS}, "$.sweep")
+    sweep_keys = {"alphas", "betas", "gammas", "extras", "system", *sweep_mod.SweepSpec.FIELDS}
+    _check_keys(sweep_doc, sweep_keys, "$.sweep")
     system = sweep_doc.get("system", "sonfis")
     if system not in ("sonfis", "sorst"):
         raise ConfigError(f"$.sweep.system: must be 'sonfis' or 'sorst', got {system!r}")
@@ -162,14 +158,14 @@ def load_config(path) -> RunConfig:
         vals = sweep_doc.get(key, [getattr(params, name)])
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"$.sweep.{key}: must be a non-empty list")
-        kind, *bounds = {**NOISE_KEYS, **LOOP_KEYS}[name]
+        kind, *bounds = type(params).FIELDS[name]
         kind = int if kind is tuple else kind
         checked = [_number(v, f"$.sweep.{key}[{i}]", kind, *bounds) for i, v in enumerate(vals)]
         # Parameter values keep their JSON form, so an integer alpha is
         # written to sweep.csv as `1`, not `1.0`.
         grid[key] = tuple(checked if kind is int else vals)
     sweep_spec = _build("$.sweep", sweep_mod.SweepSpec, **grid,
-                        **{"repeats": 1, **_values(sweep_doc, SWEEP_KEYS, "$.sweep")},
+                        **{"repeats": 1, **_values(sweep_doc, sweep_mod.SweepSpec.FIELDS, "$.sweep")},
                         base_config=loop, system=system)
     if sweep_spec.burn_in >= loop.iterations:
         raise ConfigError(f"$.sweep.burn_in: must be < iterations ({loop.iterations}), "
@@ -188,7 +184,9 @@ def _prepare_data(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 
 
 def _cmd_gen_data(args) -> int:
-    ds = gen_synthetic(args.n, args.noise, args.seed)
+    ds = gen_synthetic(_number(args.n, "--n", *SYNTHETIC_KEYS["n"]),
+                       _number(args.noise, "--noise", *SYNTHETIC_KEYS["noise_sd"]),
+                       _number(args.seed, "--seed", *SYNTHETIC_KEYS["seed"]))
     ds.to_csv(args.out)
     return 0
 
@@ -206,10 +204,11 @@ def _cmd_run(args, system: str) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    workers = None if args.workers is None else _number(args.workers, "--workers", int, 1)
     cfg = load_config(args.config)
     train, test = _prepare_data(cfg)
     result = sweep_mod.run_sweep(cfg.sweep, train, test, keep_trajectories=args.trajectories is not None,
-                                 workers=args.workers)
+                                 workers=workers)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     sweep_mod.export_csv(result, outdir / "sweep.csv")
@@ -234,17 +233,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _workers(text: str) -> int:
-    """`--workers`: a process count of at least 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sonfis", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -265,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--out", default=".")
     s.add_argument("--trajectories", default=None, help="optional JSON dump of full trajectories")
-    s.add_argument("--workers", type=_workers, default=None,
+    s.add_argument("--workers", type=int, default=None,
                    help="processes that run the sweep's trajectories (default: every available CPU)")
 
     rep = sub.add_parser("report", help="transition profile from a sweep CSV")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,15 +22,37 @@ class DatasetError(ValueError):
     pass
 
 
+def bound_error(value, minimum=None, maximum=None) -> str | None:
+    """Why `value` lies outside [`minimum`, `maximum`] (None: unbounded), or None."""
+    if maximum is not None and value > maximum:
+        return f"must be <= {maximum}, got {value}"
+    if minimum is not None and value < minimum:
+        return f"must be >= {minimum}, got {value}"
+    return None
+
+
+def check_fields(obj, error=ValueError) -> None:
+    """Raise `error` for the first field of `obj` outside its bounds in the
+    class's `FIELDS` table, `{field: (kind, minimum[, maximum])}`. A tuple is
+    checked entry by entry, a None value not at all."""
+    for name, (_, *bounds) in type(obj).FIELDS.items():
+        value = getattr(obj, name)
+        for v in value if isinstance(value, tuple) else (value,):
+            problem = v is not None and bound_error(v, *bounds)
+            if problem:
+                raise error(f"{name} {problem}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     n_train: int = 600
     n_test: int = 93
     shuffle_seed: int | None = None
 
+    FIELDS = {"n_train": (int, 1), "n_test": (int, 1), "shuffle_seed": (int, 0)}
+
     def __post_init__(self):
-        if self.n_train < 1 or self.n_test < 1:
-            raise DatasetError("n_train and n_test must both be >= 1")
+        check_fields(self, DatasetError)
 
 
 @dataclass
@@ -70,6 +93,36 @@ class Dataset:
                 w.writerow([repr(float(v)) for v in row] + [repr(float(t))])
 
 
+def read_csv(path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The header of the UTF-8 CSV file at `path`, and an iterator over its
+    non-blank rows as `(row number, cells)`, counting lines from 1 after the
+    header. A file that cannot be opened, decoded or parsed, or has no header,
+    or a row of another width than the header raises DatasetError naming
+    `path`."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            records = iter(list(csv.reader(fh)))
+    except OSError as exc:
+        raise DatasetError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: cannot decode: {exc}") from None
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: cannot parse: {exc}") from None
+    header = next(filter(None, records), None)
+    if header is None:
+        raise DatasetError(f"{path}: empty file")
+
+    def rows():
+        for r, cells in enumerate(records, start=1):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise DatasetError(f"{path}: row {r}: expected {len(header)} cells, got {len(cells)}")
+            yield r, cells
+
+    return header, rows()
+
+
 def load_csv(path, decision_column: str) -> Dataset:
     """Read a comma-separated file (one header row) into a Dataset.
 
@@ -77,38 +130,27 @@ def load_csv(path, decision_column: str) -> Dataset:
     preserved. Non-numeric or non-finite cells are reported with their
     row number (1-based, excluding the header) and column name.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DatasetError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) < len(header):
-            raise DatasetError(f"{path}: duplicate column names in header {header}")
-        if decision_column not in header:
-            raise DatasetError(f"unknown decision column {decision_column!r}; headers: {header}")
-        if len(header) == 1:
-            raise DatasetError(f"{path}: no input column besides the decision {decision_column!r}")
-        dec_idx = header.index(decision_column)
-        rows = []
-        for r, cells in enumerate(reader, start=1):
-            if len(cells) != len(header):
-                raise DatasetError(f"row {r}: expected {len(header)} cells, got {len(cells)}")
-            vals = []
-            for name, cell in zip(header, cells):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DatasetError(f"row {r}, column {name!r}: non-numeric cell {cell!r}") from None
-                if not math.isfinite(v):
-                    raise DatasetError(f"row {r}, column {name!r}: non-finite value {cell!r}")
-                vals.append(v)
-            rows.append(vals)
+    header, records = read_csv(path)
+    header = [h.strip() for h in header]
+    if len(set(header)) < len(header):
+        raise DatasetError(f"{path}: duplicate column names in header {header}")
+    if decision_column not in header:
+        raise DatasetError(f"unknown decision column {decision_column!r}; headers: {header}")
+    if len(header) == 1:
+        raise DatasetError(f"{path}: no input column besides the decision {decision_column!r}")
+    dec_idx = header.index(decision_column)
+    rows = []
+    for r, cells in records:
+        vals = []
+        for name, cell in zip(header, cells):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise DatasetError(f"{path}: row {r}, column {name!r}: non-numeric cell {cell!r}") from None
+            if not math.isfinite(v):
+                raise DatasetError(f"{path}: row {r}, column {name!r}: non-finite value {cell!r}")
+            vals.append(v)
+        rows.append(vals)
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)

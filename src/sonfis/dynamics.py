@@ -16,14 +16,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import nfis, rst
-from .dataset import Dataset
+from .dataset import Dataset, check_fields
 from .nfis import NfisTrainParams
-from .som import SomParams, extract_granules, grid_dims, train_som
+from .som import MAX_NEURONS, SomParams, extract_granules, grid_dims, train_som
 
 
 @dataclass(frozen=True)
@@ -34,12 +35,13 @@ class NoiseParams:
     beta: float = 0.001
     gamma: float = 0.5
 
+    FIELDS = {"alpha": (float, 0.0), "beta": (float, 0.0), "gamma": (float, None)}
+
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -56,24 +58,22 @@ class LoopConfig:
     som: SomParams = field(default_factory=SomParams)
     nfis: NfisTrainParams = field(default_factory=NfisTrainParams)
 
+    # Kind `tuple` is one integer or a tuple of them. iterations bounds a step
+    # list's length; n_max and bins count the neurons of one SOM.
+    FIELDS = {"iterations": (int, 1, sys.maxsize), "n_rules": (int, 1), "bins": (tuple, 2, MAX_NEURONS),
+              "n_min": (int, 2), "n_max": (int, 2, MAX_NEURONS), "initial_N": (int, 1), "seed": (int, 0)}
+
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.n_min < 2:
-            raise ValueError("n_min must be >= 2")
+        if isinstance(self.bins, list):
+            object.__setattr__(self, "bins", tuple(self.bins))
+        check_fields(self)
         if self.n_max < self.n_min:
             raise ValueError("n_max must be >= n_min")
         if not (self.n_min <= self.initial_N <= self.n_max):
             raise ValueError("initial_N must lie within [n_min, n_max]")
-        if self.n_rules < 1:
-            raise ValueError("n_rules must be >= 1")
-        if isinstance(self.bins, (list, tuple)):
-            object.__setattr__(self, "bins", tuple(self.bins))
-            if len(self.bins) != self.iterations:
-                raise ValueError(f"bins must list one count per iteration ({self.iterations}), "
-                                 f"got {len(self.bins)}")
-        if min(self.bins if isinstance(self.bins, tuple) else (self.bins,)) < 2:
-            raise ValueError(f"bins must be >= 2, got {self.bins}")
+        if isinstance(self.bins, tuple) and len(self.bins) != self.iterations:
+            raise ValueError(f"bins must list one count per iteration ({self.iterations}), "
+                             f"got {len(self.bins)}")
 
 
 @dataclass(frozen=True)

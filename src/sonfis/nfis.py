@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dataset import Dataset
+from .dataset import Dataset, check_fields
 from .som import GranuleSet
 
 WIDTH_FLOOR_INIT = 0.1
@@ -25,9 +25,10 @@ class NfisTrainParams:
     epochs: int = 10
     premise_learning_rate: float = 0.05
 
+    FIELDS = {"epochs": (int, 1), "premise_learning_rate": (float, None)}
+
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        check_fields(self)
         if self.premise_learning_rate <= 0:
             raise ValueError("premise_learning_rate must be > 0")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dataset import Dataset
+from .dataset import Dataset, check_fields
 
 # The most neurons one SOM may have: a 64 x 64 grid. Training builds (N, N)
 # float64 Chebyshev and neighbourhood matrices, 128 MiB each at this size,
@@ -29,9 +29,10 @@ class SomParams:
     initial_radius: float | None = None  # None: max(n1, n2) / 2
     final_radius: float = 0.5
 
+    FIELDS = {"epochs": (int, 1), "initial_radius": (float, 0.0), "final_radius": (float, None)}
+
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        check_fields(self)
         if self.final_radius <= 0:
             raise ValueError("final_radius must be > 0")
         if self.initial_radius is not None and self.initial_radius < self.final_radius:

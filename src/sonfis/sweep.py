@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import csv
 import os
+import sys
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError
+from .dataset import Dataset, DatasetError, check_fields, read_csv
 from .dynamics import LoopConfig, NoiseParams, OrderMetrics, order_metrics, run_sonfis, run_sorst_as
 
 # The sweep CSV's columns, in order, each with the type `load_csv_rows`
@@ -33,14 +34,16 @@ class SweepSpec:
     system: str = "sonfis"  # "sonfis" | "sorst"
     burn_in: int = 0
 
+    # repeats bounds the length of a cell's list of repeats.
+    FIELDS = {"repeats": (int, 1, sys.maxsize), "burn_in": (int, 0)}
+
     def __post_init__(self):
         for name in ("alphas", "betas", "gammas", "extras"):
             vals = getattr(self, name)
             object.__setattr__(self, name, tuple(vals))
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        check_fields(self)
         if self.system not in ("sonfis", "sorst"):
             raise ValueError(f"unknown system {self.system!r}")
 
@@ -215,26 +218,15 @@ def export_csv(result: SweepResult, path) -> None:
 
 
 def load_csv_rows(path) -> list[dict]:
-    """Parse an exported sweep CSV back into typed row dicts; blank lines
-    are skipped. A file that is not text, a header other than
-    `CSV_HEADER`, a row with the wrong number of cells, a cell its column's
-    type cannot parse, or no rows at all raise DatasetError, naming the row
-    (1-based, excluding the header) and the column."""
-    with open(path, newline="") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise DatasetError(f"{path}: cannot decode: {exc}") from None
-    reader = csv.reader(lines)
-    header = next(reader, None)
+    """Parse an exported sweep CSV back into typed row dicts. Besides what
+    `dataset.read_csv` rejects, a header other than `CSV_HEADER`, a cell
+    its column's type cannot parse, or no rows at all raise DatasetError,
+    naming the row (1-based, excluding the header) and the column."""
+    header, records = read_csv(path)
     if header != CSV_HEADER:
         raise DatasetError(f"{path}: unexpected sweep CSV header: {header}")
     rows = []
-    for r, cells in enumerate(reader, start=1):
-        if not cells:
-            continue
-        if len(cells) != len(COLUMNS):
-            raise DatasetError(f"{path}: row {r}: expected {len(COLUMNS)} cells, got {len(cells)}")
+    for r, cells in records:
         row = {}
         for (col, parse), cell in zip(COLUMNS.items(), cells):
             try:

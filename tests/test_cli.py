@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sonfis.cli import ConfigError, _prepare_data, execute, load_config
-from sonfis.dataset import DatasetError
+from sonfis.dataset import DatasetError, SplitSpec
+from sonfis.dynamics import LoopConfig, NoiseParams
+from sonfis.nfis import NfisTrainParams
+from sonfis.som import SomParams
+from sonfis.sweep import SweepSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -89,6 +93,24 @@ BAD_CONFIGS = [
     pytest.param("run-sonfis", {"split": {"shuffle_seed": -1}}, "$.split.shuffle_seed:",
                  id="shuffle-seed-negative"),
 ]
+
+# Each parameter class with the config section its `FIELDS` table reads (None: the root).
+SECTIONS = {NoiseParams: None, LoopConfig: None, SplitSpec: "split", SomParams: "som", NfisTrainParams: "nfis",
+            SweepSpec: "sweep"}
+
+
+def past_bounds():
+    """(class, config path, value) for each bound in a `FIELDS` table, with
+    the value one step past the bound."""
+    for cls, section in SECTIONS.items():
+        for key, (kind, minimum, *maximum) in cls.FIELDS.items():
+            path = (section, key) if section else (key,)
+            step = 0.5 if kind is float else 1
+            if minimum is not None:
+                yield pytest.param(cls, path, minimum - step, id=f"{'.'.join(path)}-below-minimum")
+            for bound in maximum:
+                yield pytest.param(cls, path, bound + step, id=f"{'.'.join(path)}-above-maximum")
+
 
 # Every key a config can set, as its path from the root.
 CONFIG_PATHS = [
@@ -271,6 +293,59 @@ class TestExecute:
         assert execute([command, "--config", str(echo_cfg), "--out", str(rerun)]) == 0
         name = f"trajectory_{system}.csv"
         assert (rerun / name).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("cls, path, value", past_bounds())
+    def test_table_bound_holds_in_config_and_class(self, tmp_path, capsys, cls, path, value):
+        doc = copy.deepcopy(SMALL)
+        (doc.setdefault(path[0], {}) if len(path) == 2 else doc)[path[-1]] = value
+        cfg = write_config(tmp_path, doc)
+        assert execute(["run-sonfis", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: $.{'.'.join(path)}:")
+        required = {"alphas": (0.9,), "betas": (0.001,), "gammas": (0.5,), "extras": (2,), "repeats": 1,
+                    "base_config": LoopConfig()} if cls is SweepSpec else {}
+        with pytest.raises(DatasetError if cls is SplitSpec else ValueError, match=f"^{path[-1]} must be"):
+            cls(**{**required, path[-1]: value})
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'{"alpha": 0.9\xff}')
+        assert execute(["run-sonfis", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: cannot decode")
+
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--noise", "-1"), ("--noise", "nan"),
+                                             ("--noise", "inf"), ("--seed", "-1")])
+    def test_gen_data_bad_flag_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "data.csv"
+        assert execute(["gen-data", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run-sonfis", "run-sorst"])
+    def test_gen_data_csv_runs_as_its_synthetic_config(self, tmp_path, command):
+        syn = SMALL["dataset"]["synthetic"]
+        data = tmp_path / "data.csv"
+        assert execute(["gen-data", "--n", str(syn["n"]), "--noise", str(syn["noise_sd"]),
+                        "--seed", str(syn["seed"]), "--out", str(data)]) == 0
+        name = f"trajectory_{command.split('-')[1]}.csv"
+        outputs = []
+        for source in ("synthetic", "csv"):
+            dataset = SMALL["dataset"] if source == "synthetic" else {"csv": str(data), "decision_column": "y"}
+            cfg = write_config(tmp_path, dict(SMALL, dataset=dataset), f"{source}.json")
+            assert execute([command, "--config", str(cfg), "--out", str(tmp_path / source)]) == 0
+            outputs.append((tmp_path / source / name).read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("data, message", [
+        (b"x1,y\n0.5,\xff\n", "cannot decode"),
+        (b"x1,y\n0.5," + b"1" * 200_000 + b"\n", "cannot parse"),
+    ], ids=["undecodable", "field-over-csv-limit"])
+    def test_unreadable_dataset_csv_exits_3(self, tmp_path, capsys, data, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        cfg = write_config(tmp_path, dict(SMALL, dataset={"csv": str(path), "decision_column": "y"}))
+        assert execute(["run-sonfis", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"I/O error: {path}: {message}")
 
     def test_missing_csv_exits_3(self, tmp_path, capsys):
         doc = {"dataset": {"csv": str(tmp_path / "absent.csv"), "decision_column": "q"}}

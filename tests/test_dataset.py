@@ -60,6 +60,12 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="no input column"):
             load_csv(p, "y")
 
+    def test_trailing_blank_line_is_skipped(self, tmp_path):
+        plain = load_csv(write(tmp_path, "a,b,q\n1,2,3\n4,5,6\n", "plain.csv"), "q")
+        blank = load_csv(write(tmp_path, "a,b,q\n1,2,3\n4,5,6\n\n", "blank.csv"), "q")
+        assert np.array_equal(blank.X, plain.X) and np.array_equal(blank.y, plain.y)
+        assert blank.attribute_names == plain.attribute_names
+
     def test_duplicate_header_rejected(self, tmp_path):
         p = write(tmp_path, "x,y,y\n1,2,3\n4,5,6\n")
         with pytest.raises(DatasetError, match="duplicate column names"):
