@@ -77,7 +77,10 @@ def _number(val, where: str, kind=float, minimum=None, maximum=None):
     problem = bound_error(val, minimum, maximum)
     if problem:
         raise ConfigError(f"{where}: {problem}")
-    return kind(val)
+    try:
+        return kind(val)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{where}: expected a finite number, got an integer of {len(str(val))} digits") from None
 
 
 def _values(obj: dict, table: dict, path: str, cls=None) -> dict:
@@ -108,7 +111,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: cannot decode: {exc}") from None
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     top_keys = {*NoiseParams.FIELDS, *LoopConfig.FIELDS, "dataset", "split", "som", "nfis", "sweep"}
     _check_keys(doc, top_keys, "$")

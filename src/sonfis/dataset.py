@@ -14,6 +14,7 @@ import csv
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +64,9 @@ class Dataset:
     norm_params: list[tuple[float, float]] | None = None  # per attribute (min, max)
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
+        # A read-only copy: `distinct_X` is computed from X once.
+        self.X = np.array(self.X, dtype=np.float64)
+        self.X.flags.writeable = False
         self.y = np.asarray(self.y, dtype=np.float64)
         if self.X.ndim != 2 or self.y.ndim != 1 or len(self.X) != len(self.y):
             raise DatasetError("X must be (n, d) and y (n,) with matching n")
@@ -80,6 +83,17 @@ class Dataset:
     @property
     def n_inputs(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def distinct_X(self) -> np.ndarray:
+        """The distinct rows of `X` in sorted order, `np.unique(X, axis=0)`,
+        read-only. Computed once per Dataset, so every SOM trained on it
+        shares one sort. `X` is a read-only copy, so a write to it raises;
+        for other records build a new Dataset rather than assign to `X`,
+        which would leave this cache holding the old rows."""
+        uniq = np.unique(self.X, axis=0)
+        uniq.flags.writeable = False
+        return uniq
 
     @property
     def input_names(self) -> list[str]:

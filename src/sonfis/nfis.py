@@ -137,12 +137,14 @@ def _solve_consequents(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray, w: np.n
     n, d = X.shape
     R = fis.n_rules
     sw = w.sum(axis=1)
-    wn = np.zeros_like(w)
     ok = sw > 0
-    wn[ok] = w[ok] / sw[ok, None]
+    # A row with zero total firing is all zeros, so dividing it by 1 keeps it so.
+    wn = w / np.where(ok, sw, 1.0)[:, None]
     if not ok.all():
         wn[np.nonzero(~ok)[0], kernels.assign_bmus(X[~ok], fis.centers)] = 1.0
-    X1 = np.column_stack([X, np.ones(n)])
+    X1 = np.empty((n, d + 1))
+    X1[:, :d] = X
+    X1[:, d] = 1.0
     design = (wn[:, :, None] * X1[:, None, :]).reshape(n, R * (d + 1))
     sol, *_ = np.linalg.lstsq(design, t, rcond=None)
     return sol.reshape(R, d + 1)
@@ -153,18 +155,18 @@ def _premise_gradients(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray,
     """Analytic gradient of mean squared error w.r.t. centers and widths,
     given the firing strengths `w = _firing(fis, X)`. Rows with underflowed
     total firing contribute nothing."""
+    n = len(X)
     f = _consequent_values(fis, X)
     y, sw, ok = _defuzzify(w, f)
-    gc = np.zeros_like(fis.centers)
-    gs = np.zeros_like(fis.widths)
     if not ok.any():
-        return gc, gs
-    Xo, wo, fo, swo, y = X[ok], w[ok], f[ok], sw[ok], y[ok]
-    r = y - t[ok]
+        return np.zeros_like(fis.centers), np.zeros_like(fis.widths)
+    if not ok.all():
+        X, w, f, sw, y, t = X[ok], w[ok], f[ok], sw[ok], y[ok], t[ok]
+    r = y - t
     # dE/dw_i = (2/n) * r * (f_i - y) / sw  (n = full sample count)
-    dE_dw = (2.0 / len(X)) * r[:, None] * (fo - y[:, None]) / swo[:, None]
-    diff = Xo[:, None, :] - fis.centers[None, :, :]
-    common = (dE_dw * wo)[:, :, None]
+    dE_dw = (2.0 / n) * r[:, None] * (f - y[:, None]) / sw[:, None]
+    diff = X[:, None, :] - fis.centers[None, :, :]
+    common = (dE_dw * w)[:, :, None]
     gc = (common * diff / fis.widths[None, :, :] ** 2).sum(axis=0)
     gs = (common * diff**2 / fis.widths[None, :, :] ** 3).sum(axis=0)
     return gc, gs

@@ -78,16 +78,15 @@ def _grid_chebyshev(n1: int, n2: int) -> np.ndarray:
     return np.maximum(dr, dc).astype(np.float64)
 
 
-def _initial_prototypes(data: np.ndarray, N: int, seed: int) -> np.ndarray:
-    """N initial prototypes sampled from the distinct records when possible:
+def _initial_prototypes(uniq: np.ndarray, N: int, seed: int) -> np.ndarray:
+    """N initial prototypes sampled from the sorted distinct records `uniq`
+    (`np.unique(data, axis=0)`), without replacement when there are enough:
     identical initial prototypes cannot separate under the batch update.
-    np.unique sorts, which also keeps initialization independent of record
-    order."""
+    Sorting keeps initialization independent of record order."""
     rng = np.random.default_rng(seed)
-    uniq = np.unique(data, axis=0)
     if N <= len(uniq):
-        return uniq[rng.choice(len(uniq), size=N, replace=False)].copy()
-    return uniq[rng.integers(0, len(uniq), size=N)].copy()
+        return uniq[rng.choice(len(uniq), size=N, replace=False)]
+    return uniq[rng.integers(0, len(uniq), size=N)]
 
 
 def _neighbourhoods(n1: int, n2: int, params: SomParams):
@@ -107,7 +106,7 @@ def train_som(train: Dataset, dims: tuple[int, int], params: SomParams, seed: in
     n1, n2 = dims
     N = n1 * n2
     data = np.ascontiguousarray(train.X, dtype=np.float64)
-    protos = _initial_prototypes(data, N, seed)
+    protos = _initial_prototypes(train.distinct_X, N, seed)
     for H in _neighbourhoods(n1, n2, params):
         bmus = kernels.assign_bmus(data, protos)
         sums, counts = kernels.accumulate_by_bmu(data, bmus, N)
@@ -129,7 +128,7 @@ def train_column_soms(data: np.ndarray, units: int, params: SomParams, seeds) ->
     data = np.ascontiguousarray(data, dtype=np.float64)
     protos = np.empty((c, units))
     for j, seed in enumerate(seeds):
-        protos[j] = _initial_prototypes(data[:, j:j + 1], units, seed)[:, 0]
+        protos[j] = _initial_prototypes(np.unique(data[:, j:j + 1], axis=0), units, seed)[:, 0]
     offsets = np.arange(c) * units
     values = data.reshape(n * c, 1)
     for H in _neighbourhoods(1, units, params):

@@ -92,6 +92,10 @@ BAD_CONFIGS = [
                  id="synthetic-seed-negative"),
     pytest.param("run-sonfis", {"split": {"shuffle_seed": -1}}, "$.split.shuffle_seed:",
                  id="shuffle-seed-negative"),
+    # An integer beyond the float range, in a float key.
+    pytest.param("run-sonfis", {"alpha": 10**400}, "$.alpha:", id="alpha-integer-beyond-float"),
+    pytest.param("sweep", {"sweep": {"alphas": [10**400]}}, "$.sweep.alphas[0]:",
+                 id="alphas-entry-integer-beyond-float"),
 ]
 
 # Each parameter class with the config section its `FIELDS` table reads (None: the root).
@@ -244,6 +248,14 @@ class TestExecute:
         cfg = write_config(tmp_path, dict(SMALL, **doc))
         assert execute([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {where}")
+
+    def test_integer_literal_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # json.loads refuses integer literals of more than 4300 digits with
+        # a ValueError that is not a JSONDecodeError.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(SMALL)[:-1] + ', "alpha": 1' + "0" * 4300 + "}")
+        assert execute(["run-sonfis", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: invalid JSON")
 
     def test_integral_floats_run_as_integers(self, tmp_path):
         outputs = []

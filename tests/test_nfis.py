@@ -204,6 +204,48 @@ class TestPremiseGradients:
             assert np.abs(gs - ns).max() / scale < 1e-5
 
 
+class TestNoUnderflowPath:
+    """When every row fires, the fits skip the underflow masks; they must
+    give the bytes of the masked formula, written out here."""
+
+    def cases(self):
+        rng = np.random.default_rng(11)
+        for n, R, d in ((1, 1, 1), (4, 2, 3), (7, 3, 2), (60, 2, 3), (250, 4, 3)):
+            fis = FuzzyRuleBase(rng.random((R, d)), rng.uniform(0.2, 1.0, (R, d)), rng.normal(0, 1, (R, d + 1)))
+            X, t = rng.random((n, d)), rng.random(n)
+            w = _firing(fis, X)
+            assert (w.sum(axis=1) > 0).all()
+            yield fis, X, t, w
+
+    def test_consequents_match_masked_formula(self):
+        for fis, X, t, w in self.cases():
+            (n, d), R = X.shape, fis.n_rules
+            sw = w.sum(axis=1)
+            ok = sw > 0
+            wn = np.zeros_like(w)
+            wn[ok] = w[ok] / sw[ok, None]
+            X1 = np.column_stack([X, np.ones(n)])
+            design = (wn[:, :, None] * X1[:, None, :]).reshape(n, R * (d + 1))
+            expected = np.linalg.lstsq(design, t, rcond=None)[0].reshape(R, d + 1)
+            assert _solve_consequents(fis, X, t, w).tobytes() == expected.tobytes()
+
+    def test_premise_gradients_match_masked_formula(self):
+        for fis, X, t, w in self.cases():
+            f = X @ fis.coeffs[:, :-1].T + fis.coeffs[:, -1]
+            sw = w.sum(axis=1)
+            y = (w * f).sum(axis=1) / sw
+            ok = sw > 0
+            Xo, wo, fo, swo, yo = X[ok], w[ok], f[ok], sw[ok], y[ok]
+            dE_dw = (2.0 / len(X)) * (yo - t[ok])[:, None] * (fo - yo[:, None]) / swo[:, None]
+            diff = Xo[:, None, :] - fis.centers[None, :, :]
+            common = (dE_dw * wo)[:, :, None]
+            gc = (common * diff / fis.widths[None, :, :] ** 2).sum(axis=0)
+            gs = (common * diff**2 / fis.widths[None, :, :] ** 3).sum(axis=0)
+            got_c, got_s = _premise_gradients(fis, X, t, w)
+            assert got_c.tobytes() == gc.tobytes()
+            assert got_s.tobytes() == gs.tobytes()
+
+
 class TestRmse:
     def test_zero_on_perfect_predictions(self):
         fis = FuzzyRuleBase(np.array([[0.0]]), np.array([[1.0]]), np.array([[1.0, 0.0]]))

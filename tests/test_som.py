@@ -75,6 +75,42 @@ class TestTrainSom:
             train_som(ds, (1, 1), SomParams(), seed=0)
 
 
+class TestTrainSomCaches:
+    def dataset(self):
+        rng = np.random.default_rng(21)
+        X = rng.random((30, 3)).round(1)
+        X = np.vstack([X, X[:15]])  # 45 records, at most 30 distinct
+        return Dataset(X, rng.random(len(X)))
+
+    def test_cold_and_warm_caches_give_the_same_bytes(self):
+        ds = self.dataset()
+        p = SomParams(epochs=6)
+        cold = train_som(ds, (3, 4), p, seed=5).prototypes
+        assert len(ds.distinct_X) < len(ds)
+        assert np.array_equal(ds.distinct_X, np.unique(ds.X, axis=0))
+        # Other shapes in between reuse the dataset's one sort.
+        train_som(ds, (1, 7), p, seed=5)
+        train_som(ds, (2, 5), p, seed=5)
+        later = train_som(ds, (3, 4), p, seed=5).prototypes
+        warm = train_som(ds, (3, 4), p, seed=5).prototypes
+        fresh = train_som(self.dataset(), (3, 4), p, seed=5).prototypes
+        assert cold.tobytes() == later.tobytes() == warm.tobytes() == fresh.tobytes()
+
+    def test_records_and_distinct_rows_are_read_only(self):
+        X = self.dataset().X.copy()
+        ds = Dataset(X, np.zeros(len(X)))
+        with pytest.raises(ValueError):
+            ds.distinct_X[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            ds.X[0, 0] = 2.0
+        # The Dataset holds its own copy: the caller's array stays writeable
+        # and a write to it does not reach the Dataset or its cached rows.
+        before = ds.distinct_X.copy()
+        X[:] = 0.0
+        assert not (ds.X == 0.0).all()
+        assert np.array_equal(ds.distinct_X, before)
+
+
 class TestQuantizationError:
     def test_zero_when_prototypes_cover_data(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
