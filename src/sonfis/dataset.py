@@ -95,10 +95,6 @@ class Dataset:
         uniq.flags.writeable = False
         return uniq
 
-    @property
-    def input_names(self) -> list[str]:
-        return self.attribute_names[:-1]
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

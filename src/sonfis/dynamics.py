@@ -145,21 +145,18 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     `error_fn(t, granules)`, when given, replaces the second layer."""
     points: list[TrajectoryPoint] = []
     N = cfg.initial_N
-    final_model = None
+    E, final_model = float(np.std(test.y)), None
     for t in range(1, cfg.iterations + 1):
         extra = extras[t - 1] if isinstance(extras, tuple) else extras
         dims = grid_dims(N)
         grid = train_som(train, dims, cfg.som, _iter_seed(cfg.seed, t))
         granules = extract_granules(grid, train)
         if error_fn is not None:
-            E = float(error_fn(t, granules))
+            fitted = float(error_fn(t, granules)), None
         else:
             fitted = fit_eval(granules, extra, _iter_seed(cfg.seed, t, stream=1))
-            if fitted is not None:
-                E, final_model = fitted
-            elif t == 1:
-                E = float(np.std(test.y))
-            # otherwise E carries forward from t - 1
+        if fitted is not None:  # otherwise E carries forward
+            E, final_model = fitted
         points.append(TrajectoryPoint(t, N, *dims, len(granules), E, extra))
         N = update_neuron_count(N, E, p, cfg.n_min, cfg.n_max)
     return Trajectory(points, cfg, p, final_model)

@@ -1,4 +1,5 @@
-"""The batch-SOM hot kernels, in NumPy.
+"""Every step of a batch-SOM epoch, in NumPy: nearest-neuron search,
+per-neuron sums and the prototype update, shared by both SOM trainers.
 
 `assign_bmus` returns, bit for bit, the BMUs of `_assign_exact`: squared
 distances summed one attribute at a time (`0 + diff0**2 + diff1**2 + ...`),
@@ -52,15 +53,20 @@ def assign_bmus(data, protos):
 def _assign_exact(data, protos):
     """Squared Euclidean distance, summed one attribute at a time into one
     (n, m) matrix, a sequential order. np.argmin keeps the first (lowest)
-    index on ties."""
-    d2 = np.subtract.outer(data[:, 0], protos[:, 0])
+    index on ties.
+
+    Leading axes stack independent searches: `data` (..., n, d) and
+    `protos` (..., m, d) give (..., n), each member equal to its own 2-D
+    call. `assign_bmus` stays 2-D, so stacks call this directly."""
+    d2 = data[..., :, None, 0] - protos[..., None, :, 0]
     d2 *= d2
-    diff = np.empty_like(d2)
-    for j in range(1, data.shape[1]):
-        np.subtract.outer(data[:, j], protos[:, j], out=diff)
-        diff *= diff
-        d2 += diff
-    return d2.argmin(axis=1).astype(np.int64)
+    if data.shape[-1] > 1:
+        diff = np.empty_like(d2)
+        for j in range(1, data.shape[-1]):
+            np.subtract(data[..., :, None, j], protos[..., None, :, j], out=diff)
+            diff *= diff
+            d2 += diff
+    return d2.argmin(axis=-1).astype(np.int64, copy=False)
 
 
 def _assign_prefiltered(data, protos):
@@ -160,3 +166,15 @@ def accumulate_by_bmu(data, bmus, m):
         sums[:, j] = np.bincount(bmus, weights=data[:, j], minlength=m)
     counts = np.bincount(bmus, minlength=m).astype(np.float64)
     return sums, counts
+
+
+def move_prototypes(protos, H, sums, counts):
+    """The batch update, in place: each prototype with neighbourhood weight
+    moves to `(H @ sums) / (H @ counts)`; the others stay. `protos` and
+    `sums` are (..., m, d), `counts` (..., m); leading axes stack SOMs that
+    share the (m, m) `H`. A stack makes one matrix-vector product per
+    member, as an (m, 1) member alone does, where one (m, c) matrix product
+    over the stack could round otherwise: each member rounds as it would
+    alone."""
+    denom = H @ counts[..., None]
+    np.divide(H @ sums, denom, out=protos, where=denom > 0)

@@ -110,10 +110,7 @@ def train_som(train: Dataset, dims: tuple[int, int], params: SomParams, seed: in
     for H in _neighbourhoods(n1, n2, params):
         bmus = kernels.assign_bmus(data, protos)
         sums, counts = kernels.accumulate_by_bmu(data, bmus, N)
-        numer = H @ sums
-        denom = H @ counts
-        live = denom > 0
-        protos[live] = numer[live] / denom[live, None]
+        kernels.move_prototypes(protos, H, sums, counts)
     return SomGrid(n1, n2, protos)
 
 
@@ -125,27 +122,18 @@ def train_column_soms(data: np.ndarray, units: int, params: SomParams, seeds) ->
     n, c = data.shape
     if n == 0:
         raise ValueError("cannot train a SOM on an empty dataset")
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    protos = np.empty((c, units))
-    for j, seed in enumerate(seeds):
-        protos[j] = _initial_prototypes(np.unique(data[:, j:j + 1], axis=0), units, seed)[:, 0]
-    offsets = np.arange(c) * units
-    values = data.reshape(n * c, 1)
+    cols = np.ascontiguousarray(data.T, dtype=np.float64)  # (c, n)
+    protos = np.stack([_initial_prototypes(np.unique(col[:, None], axis=0), units, seed)
+                       for col, seed in zip(cols, seeds)])  # (c, units, 1)
+    offsets = np.arange(c)[:, None] * units
+    values = cols.reshape(c * n, 1)
     for H in _neighbourhoods(1, units, params):
-        d2 = data[:, :, None] - protos[None, :, :]
-        d2 *= d2
-        # Slot j*units + bmu over the values in record order: each slot sums
+        # Slot j*units + bmu over the values column by column: each slot sums
         # its records in record order, as train_som does for one column.
-        slots = (d2.argmin(axis=2) + offsets).ravel()
+        slots = (kernels._assign_exact(cols[:, :, None], protos) + offsets).ravel()
         sums, counts = kernels.accumulate_by_bmu(values, slots, c * units)
-        sums, counts = sums.reshape(c, units, 1), counts.reshape(c, units, 1)
-        # A stack of matrix-vector products, one per column, as train_som
-        # computes them: one (units, c) matrix product may round otherwise.
-        numer = (H @ sums)[:, :, 0]
-        denom = (H @ counts)[:, :, 0]
-        live = denom > 0
-        protos[live] = numer[live] / denom[live]
-    return protos
+        kernels.move_prototypes(protos, H, sums.reshape(c, units, 1), counts.reshape(c, units))
+    return protos[:, :, 0]
 
 
 def quantization_error(grid: SomGrid, data: Dataset) -> float:

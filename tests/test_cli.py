@@ -61,6 +61,11 @@ BAD_CONFIGS = [
     pytest.param("run-sorst", {"bins": [2, 2.5, 3, 3]}, "$.bins[1]:", id="bins-entry-not-integer"),
     pytest.param("run-sorst", {"bin_schedule": [2, 5, 5, 5]}, "$.bin_schedule: unknown key",
                  id="bin-schedule-unknown"),
+    pytest.param("run-sonfis", {"n_min": 10, "n_max": 5}, "$: n_max must be >= n_min", id="n-max-below-n-min"),
+    pytest.param("run-sonfis", {"initial_N": 500}, "$: initial_N must lie", id="initial-n-above-n-max"),
+    pytest.param("run-sonfis", {"initial_N": 2}, "$: initial_N must lie", id="initial-n-below-n-min"),
+    pytest.param("run-sonfis", {"dataset": {"csv": "data.csv"}}, "$.dataset.decision_column: required",
+                 id="csv-without-decision-column"),
     # Values that would run with every cell failed or every step a fallback.
     pytest.param("sweep", {"sweep": {"burn_in": 100}}, "$.sweep.burn_in:", id="burn-in-past-end"),
     pytest.param("sweep", {"sweep": {"extras": [1.5]}}, "$.sweep.extras[0]:", id="extras-not-integer"),
@@ -274,6 +279,15 @@ class TestExecute:
         assert [int(line.split(",")[1]) for line in lines[1:]] == [16, 30, 30, 30]
         assert execute(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert len((out / "sweep.csv").read_text().splitlines()) == 2
+
+    def test_run_that_raises_exits_1(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr("sonfis.dynamics.run_sonfis", fail)
+        cfg = write_config(tmp_path, SMALL)
+        assert execute(["run-sonfis", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("runtime error: RuntimeError: run failed")
 
     def test_sweep_with_every_cell_failed_exits_1(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

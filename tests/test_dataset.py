@@ -19,6 +19,18 @@ def write(tmp_path, text, name="data.csv"):
     return p
 
 
+@pytest.mark.parametrize("X, y, names, match", [
+    (np.zeros((3, 2)), np.zeros(2), [], "X must be"),
+    (np.zeros(3), np.zeros(3), [], "X must be"),
+    (np.zeros((2, 2)), np.zeros(2), ["a", "y"], "attribute_names must cover"),
+    (np.array([[0.0, np.nan]]), np.zeros(1), [], "non-finite"),
+    (np.zeros((1, 2)), np.array([np.inf]), [], "non-finite"),
+])
+def test_dataset_rejects_malformed_arrays(X, y, names, match):
+    with pytest.raises(DatasetError, match=match):
+        Dataset(X, y, names)
+
+
 class TestLoadCsv:
     def test_basic_parse(self, tmp_path):
         p = write(tmp_path, "a,b,q\n1,2,3\n4,5,6\n")
@@ -31,7 +43,7 @@ class TestLoadCsv:
     def test_decision_first_column_keeps_input_order(self, tmp_path):
         p = write(tmp_path, "q,a,b\n9,1,2\n8,3,4\n")
         ds = load_csv(p, "q")
-        assert ds.input_names == ["a", "b"]
+        assert ds.attribute_names == ["a", "b", "q"]
         assert np.allclose(ds.X, [[1, 2], [3, 4]])
         assert np.allclose(ds.y, [9, 8])
 

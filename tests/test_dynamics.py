@@ -51,6 +51,11 @@ class TestUpdateNeuronCount:
         # 1e308 * 100 is inf; clamping before the floor keeps it an integer.
         assert update_neuron_count(100, 0.0, NoiseParams(1e308, 0, 0), 4, 400) == 400
 
+    @pytest.mark.parametrize("field, value", [("alpha", math.nan), ("beta", math.inf), ("gamma", -math.inf)])
+    def test_non_finite_noise_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            NoiseParams(**{field: value})
+
     @pytest.mark.parametrize("alpha", [0.7, 0.8, 0.9])
     def test_stub_iteration_settles_near_fixed_point(self, alpha):
         p = NoiseParams(alpha, 0.001, 0.5)

@@ -275,3 +275,63 @@ def test_dispatch_by_prototype_size(monkeypatch, exact_rows):
     assert len(calls) == 1 and exact_rows == []
     kernels.assign_bmus(data[:600], protos[:4])
     assert len(calls) == 1 and exact_rows == [600]
+
+
+@st.composite
+def stacked_assign_inputs(draw):
+    """A stack of searches of one shape, from a few shared values (exact
+    ties and duplicates) or moderate floats."""
+    stack = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    n, m, d = draw(st.integers(0, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    elements = st.one_of(st.sampled_from([0.0, 0.5, -1.0, 1.0, 3.0]), st.floats(-1e3, 1e3))
+    data = draw(arrays(np.float64, (*stack, n, d), elements=elements))
+    protos = draw(arrays(np.float64, (*stack, m, d), elements=elements))
+    return data, protos
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacked_assign_inputs())
+def test_stacked_exact_search_equals_each_member(inputs):
+    data, protos = inputs
+    got = EXACT(data, protos)
+    assert got.dtype == np.int64 and got.shape == data.shape[:-1]
+    for idx in np.ndindex(data.shape[:-2]):
+        assert got[idx].tobytes() == EXACT(data[idx], protos[idx]).tobytes()
+
+
+def som_update_inputs(rng, stack, m, d):
+    """Prototypes, sums and counts with empty neurons, and a sparse
+    neighbourhood whose first row is zero, so neuron 0 has no weight."""
+    H = rng.random((m, m)) * (rng.random((m, m)) < 0.5)
+    H[0] = 0.0
+    counts = rng.integers(0, 4, (*stack, m)).astype(np.float64)
+    sums = rng.random((*stack, m, d)) * counts[..., None]
+    return rng.random((*stack, m, d)), H, sums, counts
+
+
+@pytest.mark.parametrize("m, d", [(1, 1), (4, 3), (12, 1), (30, 2), (100, 3)])
+def test_move_prototypes_matches_batch_formula(m, d):
+    """The update as `train_som` wrote it out: live neurons move to
+    (H @ sums) / (H @ counts), bytes and all; the others keep theirs."""
+    rng = np.random.default_rng(10)
+    protos, H, sums, counts = som_update_inputs(rng, (), m, d)
+    want = protos.copy()
+    numer, denom = H @ sums, H @ counts
+    live = denom > 0
+    want[live] = numer[live] / denom[live, None]
+    kernels.move_prototypes(protos, H, sums, counts)
+    assert protos.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stack, m, d", [((5,), 3, 1), ((4,), 12, 1), ((2, 3), 7, 2), ((3,), 60, 1)])
+def test_stacked_move_prototypes_equals_each_member(stack, m, d):
+    rng = np.random.default_rng(11)
+    protos, H, sums, counts = som_update_inputs(rng, stack, m, d)
+    before = protos.copy()
+    kernels.move_prototypes(protos, H, sums, counts)
+    for idx in np.ndindex(stack):
+        member = before[idx].copy()
+        kernels.move_prototypes(member, H, sums[idx], counts[idx])
+        assert protos[idx].tobytes() == member.tobytes()
+    # Neuron 0 has no neighbourhood weight in any member: it stays put.
+    assert protos[..., 0, :].tobytes() == before[..., 0, :].tobytes()

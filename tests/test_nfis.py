@@ -22,6 +22,22 @@ def make_granules(X, y):
     return GranuleSet(X, y, np.ones(len(y), dtype=int))
 
 
+def masked_premise_gradients(fis, X, t, w):
+    """The premise gradients written out over the rows that fire, with the
+    full row count in the mean."""
+    f = X @ fis.coeffs[:, :-1].T + fis.coeffs[:, -1]
+    sw = w.sum(axis=1)
+    ok = sw > 0
+    Xo, wo, fo, swo = X[ok], w[ok], f[ok], sw[ok]
+    yo = (wo * fo).sum(axis=1) / swo
+    dE_dw = (2.0 / len(X)) * (yo - t[ok])[:, None] * (fo - yo[:, None]) / swo[:, None]
+    diff = Xo[:, None, :] - fis.centers[None, :, :]
+    common = (dE_dw * wo)[:, :, None]
+    gc = (common * diff / fis.widths[None, :, :] ** 2).sum(axis=0)
+    gs = (common * diff**2 / fis.widths[None, :, :] ** 3).sum(axis=0)
+    return gc, gs
+
+
 class TestInitRulebase:
     def test_single_rule_at_centroid(self):
         gs = make_granules([[0.0, 0.0], [1.0, 0.5], [0.5, 1.0]], [1, 2, 3])
@@ -203,6 +219,24 @@ class TestPremiseGradients:
             assert np.abs(gc - nc).max() / scale < 1e-5
             assert np.abs(gs - ns).max() / scale < 1e-5
 
+    def test_underflowed_rows_contribute_nothing(self):
+        """Rows far outside both narrow rules have zero total firing. With
+        some of them, the gradients are the masked formula's, bytes and
+        all; with only them, both gradients are zero."""
+        rng = np.random.default_rng(12)
+        fis = FuzzyRuleBase(rng.random((2, 2)), np.full((2, 2), 0.05), rng.normal(0, 1, (2, 3)))
+        X = np.vstack([fis.centers + 0.01, [[50.0, 50.0], [-40.0, 7.0]]])
+        t = rng.random(4)
+        w = _firing(fis, X)
+        assert (w.sum(axis=1) > 0).tolist() == [True, True, False, False]
+        gc, gs = _premise_gradients(fis, X, t, w)
+        want_c, want_s = masked_premise_gradients(fis, X, t, w)
+        assert gc.tobytes() == want_c.tobytes() and gs.tobytes() == want_s.tobytes()
+        assert np.abs(gc).max() > 0
+        gc, gs = _premise_gradients(fis, X[2:], t[2:], w[2:])
+        assert gc.shape == fis.centers.shape and gs.shape == fis.widths.shape
+        assert not gc.any() and not gs.any()
+
 
 class TestNoUnderflowPath:
     """When every row fires, the fits skip the underflow masks; they must
@@ -231,16 +265,7 @@ class TestNoUnderflowPath:
 
     def test_premise_gradients_match_masked_formula(self):
         for fis, X, t, w in self.cases():
-            f = X @ fis.coeffs[:, :-1].T + fis.coeffs[:, -1]
-            sw = w.sum(axis=1)
-            y = (w * f).sum(axis=1) / sw
-            ok = sw > 0
-            Xo, wo, fo, swo, yo = X[ok], w[ok], f[ok], sw[ok], y[ok]
-            dE_dw = (2.0 / len(X)) * (yo - t[ok])[:, None] * (fo - yo[:, None]) / swo[:, None]
-            diff = Xo[:, None, :] - fis.centers[None, :, :]
-            common = (dE_dw * wo)[:, :, None]
-            gc = (common * diff / fis.widths[None, :, :] ** 2).sum(axis=0)
-            gs = (common * diff**2 / fis.widths[None, :, :] ** 3).sum(axis=0)
+            gc, gs = masked_premise_gradients(fis, X, t, w)
             got_c, got_s = _premise_gradients(fis, X, t, w)
             assert got_c.tobytes() == gc.tobytes()
             assert got_s.tobytes() == gs.tobytes()

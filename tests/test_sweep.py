@@ -165,6 +165,12 @@ class TestTransitionProfile:
         with pytest.raises(ValueError, match="no sweep rows"):
             profile_from_rows([], "alpha")
 
+    def test_one_axis_value_is_a_weak_locus(self):
+        rows = [{"alpha": 0.8, "mean_NG": 10.0, "std_NG": 2.0}, {"alpha": 0.8, "mean_NG": 12.0, "std_NG": 4.0}]
+        profile = profile_from_rows(rows, "alpha")
+        assert profile["profile"] == [{"value": 0.8, "mean_NG": 11.0, "std_NG": 3.0}]
+        assert profile["transition_locus"] == 0.8 and profile["weak"] is True
+
     def test_synthetic_std_profile(self):
         # std = (1, 1, 5, 5) over the grid: locus at the 2nd -> 3rd gap
         from sonfis.dynamics import OrderMetrics
