@@ -23,8 +23,8 @@ from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from . import dynamics, sweep as sweep_mod
-from .dataset import (Dataset, DatasetError, SplitSpec, bound_error, gen_synthetic, load_csv, min_max_normalize,
-                      split)
+from .dataset import (SYNTHETIC_DEFAULTS, SYNTHETIC_KEYS, Dataset, DatasetError, SplitSpec, bound_error,
+                      gen_synthetic, load_csv, min_max_normalize, split)
 from .dynamics import LoopConfig, NoiseParams
 from .nfis import NfisTrainParams
 from .som import SomParams
@@ -32,14 +32,6 @@ from .som import SomParams
 
 class ConfigError(ValueError):
     pass
-
-
-# A section's numeric keys are the `FIELDS` table of the parameter object it
-# builds, and omitted keys take its defaults. `gen_synthetic`'s arguments,
-# from a config or the `gen-data` flags, have this table instead.
-SYNTHETIC_KEYS = {"n": (int, 1), "noise_sd": (float, 0.0), "seed": (int, 0)}
-# `gen_synthetic`'s arguments where a config or `gen-data` leaves them out.
-SYNTHETIC_DEFAULTS = {"n": 693, "noise_sd": 0.05, "seed": 7}
 
 
 @dataclass

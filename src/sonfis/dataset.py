@@ -96,7 +96,7 @@ class Dataset:
         return uniq
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(self.attribute_names)
             for row, t in zip(self.X, self.y):
@@ -212,13 +212,17 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     )
 
 
+# `gen_synthetic`'s arguments in order, as `(kind, minimum)`, and their CLI defaults.
+SYNTHETIC_KEYS = {"n": (int, 1), "noise_sd": (float, 0.0), "seed": (int, 0)}
+SYNTHETIC_DEFAULTS = {"n": 693, "noise_sd": 0.05, "seed": 7}
+
+
 def gen_synthetic(n: int, noise_sd: float, seed: int) -> Dataset:
     """Synthetic 3-input benchmark: x ~ U[0,1]^3,
     y = 0.5*sin(2*pi*x1)*x2 + x3^2 + N(0, noise_sd^2)."""
-    if n < 1:
-        raise DatasetError("n must be >= 1")
-    if noise_sd < 0:
-        raise DatasetError("noise_sd must be >= 0")
+    for name, value in zip(SYNTHETIC_KEYS, (n, noise_sd, seed)):
+        if problem := bound_error(value, SYNTHETIC_KEYS[name][1]):
+            raise DatasetError(f"{name} {problem}")
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, size=(n, 3))
     y = 0.5 * np.sin(2.0 * np.pi * X[:, 0]) * X[:, 1] + X[:, 2] ** 2

@@ -1,7 +1,8 @@
 """Every step of a batch-SOM epoch, in NumPy: nearest-neuron search,
-per-neuron sums and the prototype update, shared by both SOM trainers.
+per-neuron sums and the prototype update, shared by both SOM trainers; the
+search and sums also serve k-means in `nfis` and the scaling map in `rst`.
 
-`assign_bmus` returns, bit for bit, the BMUs of `_assign_exact`: squared
+`assign_bmus` returns, bit for bit, the BMUs of `assign_exact`: squared
 distances summed one attribute at a time (`0 + diff0**2 + diff1**2 + ...`),
 first (lowest) index on exact ties. Summed pairwise, as NumPy's
 `.sum(axis=2)` does for d >= 8, distances round differently and can break
@@ -10,14 +11,12 @@ those ties the other way.
 Large SOMs get there faster. One matrix product per row block ranks every
 prototype by `||p||**2 - 2 x.p`; a row whose runner-up lies outside a
 proven rounding bound of its minimum keeps that argmin, and only the rows
-with a near tie are recomputed by `_assign_exact`. The bound and its proof
+with a near tie are recomputed by `assign_exact`. The bound and its proof
 are in `_assign_prefiltered`. Below `PREFILTER_MIN_MD` prototype elements
 the fixed cost of the extra NumPy calls outweighs the saving, so small SOMs
-go straight to `_assign_exact`.
+go straight to `assign_exact`.
 
-`accumulate_by_bmu` adds the records in order with `np.bincount`.
-
-`som.py` calls the kernels through module attribute lookup
+Callers look the kernels up as module attributes
 (`kernels.assign_bmus`), so a tracer can wrap them in place.
 """
 
@@ -35,7 +34,7 @@ PREFILTER_MIN_MD = 144
 # Elements of one (rows, m) block of the prefilter, small enough for cache.
 BLOCK_ELEMENTS = 1 << 16
 # Input with a nonzero magnitude below TINY, or a squared row norm above
-# HUGE**2, takes `_assign_exact`: within them no product, square or sum
+# HUGE**2, takes `assign_exact`: within them no product, square or sum
 # overflows or underflows.
 TINY = 2.0**-450
 HUGE = 2.0**500
@@ -44,13 +43,13 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 def assign_bmus(data, protos):
     """Index of the best-matching prototype for every row of `data` (n, d)
-    among `protos` (m, d), as `_assign_exact` computes it."""
+    among `protos` (m, d), as `assign_exact` computes it."""
     if protos.shape[0] * protos.shape[1] < PREFILTER_MIN_MD:
-        return _assign_exact(data, protos)
+        return assign_exact(data, protos)
     return _assign_prefiltered(data, protos)
 
 
-def _assign_exact(data, protos):
+def assign_exact(data, protos):
     """Squared Euclidean distance, summed one attribute at a time into one
     (n, m) matrix, a sequential order. np.argmin keeps the first (lowest)
     index on ties.
@@ -70,7 +69,7 @@ def _assign_exact(data, protos):
 
 
 def _assign_prefiltered(data, protos):
-    """`_assign_exact(data, protos)` through one matrix product per block.
+    """`assign_exact(data, protos)` through one matrix product per block.
 
     Notation (Higham, *Accuracy and Stability of Numerical Algorithms*,
     2nd ed., 2002, ch. 3): u = 2**-53, gamma_k = k*u / (1 - k*u), and
@@ -79,7 +78,7 @@ def _assign_prefiltered(data, protos):
     S = (||x|| + max_j ||p_j||)**2, so that D <= S and
     2 ||x|| ||p|| + ||p||**2 <= S.
 
-    1. `_assign_exact` computes e = fl(sum_k fl(fl(x_k - p_k)**2)) in order.
+    1. `assign_exact` computes e = fl(sum_k fl(fl(x_k - p_k)**2)) in order.
        Each term carries three roundings and then d - 1 additions of
        nonnegative numbers: |e - D| <= gamma_{d+2} D <= gamma_{d+2} S.
     2. A block computes A = [x, 1] . [-2 p, fl(||p||**2)], a dot product of
@@ -87,7 +86,7 @@ def _assign_prefiltered(data, protos):
        multiply-adds included, it errs by at most
        gamma_{d+1} (2 sum_k |x_k p_k| + fl(||p||**2)), and fl(||p||**2) by
        gamma_d ||p||**2, so |A - F| <= gamma_{2d+1} S.
-    3. Let r = argmin_j A_j and c the index `_assign_exact` returns, so
+    3. Let r = argmin_j A_j and c the index `assign_exact` returns, so
        e_c <= e_r. With g1 = gamma_{2d+1} and g2 = gamma_{d+2}:
        A_c <= F_c + g1 S <= e_c - ||x||**2 + (g1 + g2) S
            <= e_r - ||x||**2 + (g1 + g2) S <= A_r + 2 (g1 + g2) S,
@@ -97,7 +96,7 @@ def _assign_prefiltered(data, protos):
        1-3 need, which also covers the few roundings in computing tau. Then
        c lies in {j : A_j <= fl(A_r + tau)}. When that set is {r} alone,
        c = r. Rows with a second candidate are recomputed by
-       `_assign_exact`, row by row, so exact ties still go to the lowest
+       `assign_exact`, row by row, so exact ties still go to the lowest
        index.
 
     The gamma bounds assume that nothing overflows or underflows. Squared
@@ -107,7 +106,7 @@ def _assign_prefiltered(data, protos):
     square is at least (TINY * 2**-52)**2 = 2**-1004. An addition with a
     subnormal result is exact; a fused one errs by at most 2**-1075, far
     inside the factor-2 margin, since S >= TINY**2 unless the row and every
-    prototype are zero. Other input goes to `_assign_exact` whole, NaN and
+    prototype are zero. Other input goes to `assign_exact` whole, NaN and
     inf included: they make a squared norm NaN or inf.
     """
     n, d = data.shape
@@ -115,7 +114,7 @@ def _assign_prefiltered(data, protos):
     xn = np.einsum("ij,ij->i", data, data)
     pn = np.einsum("ij,ij->i", protos, protos)
     if not (xn.max(initial=0.0) <= HUGE**2 and pn.max() <= HUGE**2) or _has_tiny(data) or _has_tiny(protos):
-        return _assign_exact(data, protos)
+        return assign_exact(data, protos)
     tau = _tie_margin(xn, pn.max(), d)
     lhs = np.empty((n, d + 1))
     lhs[:, :d] = data
@@ -139,7 +138,7 @@ def _assign_prefiltered(data, protos):
         a.min(axis=1, out=second[lo:lo + step])
     rows = np.flatnonzero(second <= best + tau)
     if rows.size:
-        bmus[rows] = _assign_exact(data[rows], protos)
+        bmus[rows] = assign_exact(data[rows], protos)
     return bmus
 
 

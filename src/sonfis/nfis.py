@@ -56,23 +56,25 @@ class FuzzyRuleBase:
 
 
 def _kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """At most KMEANS_ITERS plain Lloyd iterations; empty clusters are
-    reseeded from the point farthest from its current center. Returns
-    (centers, labels)."""
+    """At most KMEANS_ITERS Lloyd iterations, each a batch-SOM epoch with H = I:
+    nearest-center labels, then each center with members moves to their mean.
+    Before the means, each empty cluster in index order takes the point
+    farthest from its assigned center (the first on ties). Returns (centers, labels)."""
     rng = np.random.default_rng(seed)
     centers = points[rng.choice(len(points), size=k, replace=False)].copy()
     labels = np.zeros(len(points), dtype=np.int64)
     for _ in range(KMEANS_ITERS):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(d2, axis=1)
-        for j in range(k):
-            mask = new_labels == j
-            if mask.any():
-                centers[j] = points[mask].mean(axis=0)
-            else:
-                far = int(np.argmax(d2[np.arange(len(points)), new_labels]))
-                centers[j] = points[far]
-                new_labels[far] = j
+        new_labels = kernels.assign_bmus(points, centers)
+        sums, counts = kernels.accumulate_by_bmu(points, new_labels, k)
+        if not counts.all():
+            far_d2 = ((points - centers[new_labels]) ** 2).sum(axis=1)
+            for j in range(k):
+                if counts[j] == 0:
+                    far = int(np.argmax(far_d2))
+                    counts[new_labels[far]] -= 1
+                    new_labels[far], counts[j], far_d2[far] = j, 1, 0.0
+            sums, counts = kernels.accumulate_by_bmu(points, new_labels, k)
+        np.divide(sums, counts[:, None], out=centers, where=counts[:, None] > 0)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -81,18 +83,15 @@ def _kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
 
 def init_rulebase(granules: GranuleSet, n_rules: int, seed: int) -> FuzzyRuleBase:
     """Place rule centers by seeded k-means over the granule inputs; widths
-    are the per-dimension std of each cluster, floored at 0.1; consequents
-    start at zero."""
+    are the per-dimension std of each cluster, floored at 0.1 (so a cluster
+    of 0 or 1 members takes the floor); consequents start at zero."""
     if len(granules) < n_rules:
         raise ValueError(f"{len(granules)} granules cannot seed {n_rules} rules")
-    centers, labels = _kmeans(granules.inputs, n_rules, seed)
-    d = granules.inputs.shape[1]
-    widths = np.full((n_rules, d), WIDTH_FLOOR_INIT)
-    for j in range(n_rules):
-        members = granules.inputs[labels == j]
-        if len(members) > 1:
-            widths[j] = np.maximum(members.std(axis=0), WIDTH_FLOOR_INIT)
-    return FuzzyRuleBase(centers, widths, np.zeros((n_rules, d + 1)))
+    X = granules.inputs
+    centers, labels = _kmeans(X, n_rules, seed)
+    sq_dev, counts = kernels.accumulate_by_bmu((X - centers[labels]) ** 2, labels, n_rules)
+    widths = np.maximum(np.sqrt(sq_dev / np.maximum(counts, 1.0)[:, None]), WIDTH_FLOOR_INIT)
+    return FuzzyRuleBase(centers, widths, np.zeros((n_rules, X.shape[1] + 1)))
 
 
 def _firing(fis: FuzzyRuleBase, X: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .dataset import Dataset
 from .som import SomParams, train_column_soms, train_som  # noqa: F401
 
@@ -30,19 +31,23 @@ SCALING_SOM = SomParams(epochs=30, final_radius=0.2)
 @dataclass
 class ScalingMap:
     """Sorted codebooks of bin centers, one row per input attribute and one
-    for the decision; bin label = index of the nearest center (ties toward
-    the lower label)."""
+    for the decision; bin label = index of the nearest center, found by the
+    SOM kernels' search (ties toward the lower label)."""
 
     input_codebooks: np.ndarray  # (a, bins)
     decision_codebook: np.ndarray  # (bins,)
 
+    def __post_init__(self):
+        self.input_codebooks = np.asarray(self.input_codebooks, dtype=np.float64)
+        self.decision_codebook = np.asarray(self.decision_codebook, dtype=np.float64)
+
     def discretize_inputs(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return np.abs(X[:, :, None] - self.input_codebooks).argmin(axis=2)
+        return kernels.assign_exact(X.T[:, :, None], self.input_codebooks[:, :, None]).T
 
     def discretize_decision(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
-        return np.abs(y[:, None] - self.decision_codebook).argmin(axis=1)
+        return kernels.assign_bmus(y[:, None], self.decision_codebook[:, None])
 
 
 @dataclass

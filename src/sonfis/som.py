@@ -130,7 +130,7 @@ def train_column_soms(data: np.ndarray, units: int, params: SomParams, seeds) ->
     for H in _neighbourhoods(1, units, params):
         # Slot j*units + bmu over the values column by column: each slot sums
         # its records in record order, as train_som does for one column.
-        slots = (kernels._assign_exact(cols[:, :, None], protos) + offsets).ravel()
+        slots = (kernels.assign_exact(cols[:, :, None], protos) + offsets).ravel()
         sums, counts = kernels.accumulate_by_bmu(values, slots, c * units)
         kernels.move_prototypes(protos, H, sums.reshape(c, units, 1), counts.reshape(c, units))
     return protos[:, :, 0]

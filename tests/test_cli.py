@@ -66,6 +66,8 @@ BAD_CONFIGS = [
     pytest.param("run-sonfis", {"initial_N": 2}, "$: initial_N must lie", id="initial-n-below-n-min"),
     pytest.param("run-sonfis", {"dataset": {"csv": "data.csv"}}, "$.dataset.decision_column: required",
                  id="csv-without-decision-column"),
+    pytest.param("sweep", {"dataset": {}}, "$.dataset: one of 'csv' or 'synthetic' is required",
+                 id="dataset-without-source"),
     # Values that would run with every cell failed or every step a fallback.
     pytest.param("sweep", {"sweep": {"burn_in": 100}}, "$.sweep.burn_in:", id="burn-in-past-end"),
     pytest.param("sweep", {"sweep": {"extras": [1.5]}}, "$.sweep.extras[0]:", id="extras-not-integer"),
@@ -364,7 +366,10 @@ class TestExecute:
     @pytest.mark.parametrize("data, message", [
         (b"x1,y\n0.5,\xff\n", "cannot decode"),
         (b"x1,y\n0.5," + b"1" * 200_000 + b"\n", "cannot parse"),
-    ], ids=["undecodable", "field-over-csv-limit"])
+        (b"", "empty file"),
+        (b"x1,y\n0.5,abc\n", "row 1, column 'y': non-numeric cell 'abc'"),
+        (b"x1,y\n", "no data rows"),
+    ], ids=["undecodable", "field-over-csv-limit", "empty", "non-numeric-cell", "header-only"])
     def test_unreadable_dataset_csv_exits_3(self, tmp_path, capsys, data, message):
         path = tmp_path / "data.csv"
         path.write_bytes(data)
@@ -372,6 +377,11 @@ class TestExecute:
         assert execute(["run-sonfis", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"I/O error: {path}: {message}")
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert execute(["run-sonfis", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {path}")
 
     def test_missing_csv_exits_3(self, tmp_path, capsys):
         doc = {"dataset": {"csv": str(tmp_path / "absent.csv"), "decision_column": "q"}}
@@ -393,7 +403,7 @@ class TestExecute:
         err = capsys.readouterr().err
         assert err.startswith("I/O error: ") and message in err
 
-    def test_sweep_and_report_round_trip(self, tmp_path):
+    def test_sweep_and_report_round_trip(self, tmp_path, capsys):
         doc = dict(
             SMALL,
             sweep={"alphas": [0.7, 0.8, 0.9], "repeats": 2, "system": "sonfis", "burn_in": 0},
@@ -408,6 +418,9 @@ class TestExecute:
         assert execute(["report", "--sweep-csv", str(sweep_csv), "--axis", "alpha", "--out", str(prof_path)]) == 0
         profile = json.loads(prof_path.read_text())
         assert [row["value"] for row in profile["profile"]] == [0.7, 0.8, 0.9]
+        capsys.readouterr()
+        assert execute(["report", "--sweep-csv", str(sweep_csv), "--axis", "alpha"]) == 0
+        assert capsys.readouterr().out == prof_path.read_text() + "\n"
 
     def test_sweep_determinism_bit_identical(self, tmp_path):
         doc = dict(SMALL, sweep={"alphas": [0.8, 0.9], "repeats": 1, "burn_in": 0})

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sonfis
 from sonfis.dataset import (
     Dataset,
     DatasetError,
@@ -102,6 +108,10 @@ class TestNormalize:
         with pytest.raises(DatasetError, match="constant attribute"):
             min_max_normalize(ds)
 
+    def test_denormalize_without_params_returns_values(self):
+        ds = Dataset(np.zeros((2, 1)), np.array([3.0, -4.0]))
+        assert denormalize_decision(ds, [0.25, 2]).tolist() == [0.25, 2.0]
+
     def test_round_trip_within_1e12(self):
         rng = np.random.default_rng(3)
         ds = Dataset(rng.normal(5, 2, (40, 2)), rng.normal(-3, 7, 40))
@@ -157,9 +167,33 @@ class TestSynthetic:
         b = gen_synthetic(693, 0.05, 7)
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize("n, noise_sd, seed, match", [
+        (0, 0.05, 1, "n must be >= 1"),
+        (10, -0.1, 1, "noise_sd must be >= 0.0"),
+        (10, 0.05, -1, "seed must be >= 0"),
+    ], ids=["n-zero", "noise-negative", "seed-negative"])
+    def test_out_of_range_arguments_rejected(self, n, noise_sd, seed, match):
+        with pytest.raises(DatasetError, match=match):
+            gen_synthetic(n, noise_sd, seed)
+
     def test_csv_round_trip(self, tmp_path):
         ds = gen_synthetic(25, 0.05, 3)
         p = tmp_path / "syn.csv"
         ds.to_csv(p)
         back = load_csv(p, "y")
         assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
+
+    def test_non_ascii_names_round_trip_in_the_c_locale(self, tmp_path):
+        # An ASCII locale must not change the encoding `to_csv` writes:
+        # `load_csv` reads UTF-8 everywhere.
+        src = tmp_path / "in.csv"
+        src.write_bytes("café,y\n1.5,2.5\n".encode())
+        script = ("import sys; from sonfis.dataset import load_csv; "
+                  "load_csv(sys.argv[1], 'y').to_csv(sys.argv[2]); print(ascii(load_csv(sys.argv[2], 'y').attribute_names))")
+        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(sonfis.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", script, str(src), str(tmp_path / "out.csv")],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "['caf\\xe9', 'y']"
+        assert (tmp_path / "out.csv").read_bytes().startswith("café,y\r\n".encode())

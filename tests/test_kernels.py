@@ -11,7 +11,7 @@ from sonfis import kernels
 # benchmark reports with its results.
 KERNELS = pytest.mark.parametrize("impl", [kernels], ids=[kernels.BACKEND])
 # Taken before any test replaces it with a spy.
-EXACT = kernels._assign_exact
+EXACT = kernels.assign_exact
 
 
 def assign_paths(impl):
@@ -22,14 +22,14 @@ def assign_paths(impl):
 
 @pytest.fixture
 def exact_rows(monkeypatch):
-    """The row count of every `_assign_exact` call made during the test."""
+    """The row count of every `assign_exact` call made during the test."""
     rows = []
 
     def spy(data, protos):
         rows.append(len(data))
         return EXACT(data, protos)
 
-    monkeypatch.setattr(kernels, "_assign_exact", spy)
+    monkeypatch.setattr(kernels, "assign_exact", spy)
     return rows
 
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from sonfis import nfis
 from sonfis.dataset import Dataset
 from sonfis.nfis import (
+    WIDTH_FLOOR_INIT,
     FuzzyRuleBase,
     NfisTrainParams,
     _firing,
+    _kmeans,
     _premise_gradients,
     _solve_consequents,
     init_rulebase,
@@ -38,7 +41,93 @@ def masked_premise_gradients(fis, X, t, w):
     return gc, gs
 
 
+def distance_matrix_kmeans(points, k, seed):
+    """The Lloyd loop `_kmeans` replaced, kept as its reference where no
+    cluster empties: a point-to-center distance matrix, then one masked mean
+    per cluster. An empty cluster took the point farthest from its center by
+    the old distances, after lower clusters' means were already taken."""
+    rng = np.random.default_rng(seed)
+    centers = points[rng.choice(len(points), size=k, replace=False)].copy()
+    labels = np.zeros(len(points), dtype=np.int64)
+    for _ in range(nfis.KMEANS_ITERS):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        for j in range(k):
+            mask = new_labels == j
+            if mask.any():
+                centers[j] = points[mask].mean(axis=0)
+            else:
+                far = int(np.argmax(d2[np.arange(len(points)), new_labels]))
+                centers[j] = points[far]
+                new_labels[far] = j
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return centers, labels
+
+
+def per_cluster_std(X, labels, k):
+    """Rule widths as one `std` per cluster, floored, with the floor for
+    clusters of fewer than two members."""
+    widths = np.full((k, X.shape[1]), WIDTH_FLOOR_INIT)
+    for j in range(k):
+        members = X[labels == j]
+        if len(members) > 1:
+            widths[j] = np.maximum(members.std(axis=0), WIDTH_FLOOR_INIT)
+    return widths
+
+
+class TestKmeans:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equals_the_distance_matrix_loop(self, monkeypatch, d):
+        # Where no cluster empties, the batch-SOM steps give the old loop's
+        # bytes: distances and member sums both add in the same order at d < 8.
+        accumulate = nfis.kernels.accumulate_by_bmu
+        emptied = []
+
+        def spy(data, bmus, m):
+            sums, counts = accumulate(data, bmus, m)
+            emptied.append(not counts.all())
+            return sums, counts
+
+        monkeypatch.setattr(nfis.kernels, "accumulate_by_bmu", spy)
+        rng = np.random.default_rng(d)
+        for seed in range(20):
+            points = rng.random((int(rng.integers(20, 80)), d))
+            k = int(rng.integers(2, 9))
+            got, want = _kmeans(points, k, seed), distance_matrix_kmeans(points, k, seed)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1])
+        assert emptied and not any(emptied)
+
+    def test_empty_clusters_take_the_farthest_points_in_index_order(self):
+        # Seed 2 starts all three centers on the point 0, so every point joins
+        # cluster 0. Cluster 1 takes the farthest point, 9, and cluster 2 then
+        # the farthest left, 4; the means follow the final labels.
+        points = np.array([[0.0], [0.0], [0.0], [0.0], [4.0], [9.0]])
+        assert (np.random.default_rng(2).choice(6, size=3, replace=False) < 4).all()
+        centers, labels = _kmeans(points, 3, seed=2)
+        assert centers[:, 0].tolist() == [0.0, 9.0, 4.0]
+        assert labels.tolist() == [0, 0, 0, 0, 2, 1]
+
+
 class TestInitRulebase:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_widths_equal_the_per_cluster_std(self, d):
+        rng = np.random.default_rng(10 + d)
+        singletons = 0
+        for seed in range(30):
+            n = int(rng.integers(8, 40))
+            X = np.vstack([rng.random((n - 1, d)), np.full((1, d), 5.0)])  # one far outlier
+            k = int(rng.integers(2, 7))
+            gs = make_granules(X, rng.random(n))
+            fis = init_rulebase(gs, k, seed)
+            centers, labels = _kmeans(X, k, seed)
+            assert fis.centers.tobytes() == centers.tobytes()
+            assert fis.widths.tobytes() == per_cluster_std(X, labels, k).tobytes()
+            singletons += int((np.bincount(labels, minlength=k) == 1).sum())
+        assert singletons > 0
+
     def test_single_rule_at_centroid(self):
         gs = make_granules([[0.0, 0.0], [1.0, 0.5], [0.5, 1.0]], [1, 2, 3])
         fis = init_rulebase(gs, 1, seed=0)
@@ -120,6 +209,11 @@ class TestInfer:
 
 
 class TestTrainHybrid:
+    def test_empty_granule_set(self):
+        fis = FuzzyRuleBase(np.array([[0.0]]), np.array([[1.0]]), np.array([[0.0, 0.0]]))
+        with pytest.raises(ValueError, match="empty granule set"):
+            train_hybrid(fis, make_granules(np.empty((0, 1)), []), NfisTrainParams())
+
     def test_exact_linear_recovery_single_rule(self):
         rng = np.random.default_rng(1)
         X = rng.random((20, 2))

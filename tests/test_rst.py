@@ -90,6 +90,11 @@ class TestFitScaling:
         with pytest.raises(ScalingError, match="constant"):
             fit_scaling(ds, 2, seed=0)
 
+    def test_fewer_than_two_bins(self):
+        ds = Dataset(np.linspace(0, 1, 10)[:, None], np.linspace(0, 1, 10))
+        with pytest.raises(ScalingError, match="bins must be >= 2"):
+            fit_scaling(ds, 1, seed=0)
+
 
 def column_codebook(col, bins, seed):
     """One attribute's codebook from its own 1-D SOM, as `fit_scaling`
@@ -180,6 +185,17 @@ class TestApplyScaling:
             assert np.array_equal(got, ref)
         labels = np.column_stack([sm.discretize_inputs(X), sm.discretize_decision(y)])
         assert np.array_equal(labels[ties >= 0], ties[ties >= 0])  # midpoints go to the lower label
+
+    def test_random_values_match_the_absolute_difference(self):
+        # 10,000 values per attribute against sorted random codebooks: the
+        # kernels' squared distance picks the label `|x - c|` picks.
+        rng = np.random.default_rng(17)
+        codebooks = np.sort(rng.random((4, 7)), axis=1)
+        sm = ScalingMap(list(codebooks[:-1]), codebooks[-1].tolist())
+        values = rng.uniform(-0.2, 1.2, (10_000, 4))
+        want = np.abs(values[:, :, None] - codebooks).argmin(axis=2)
+        assert np.array_equal(sm.discretize_inputs(values[:, :-1]), want[:, :-1])
+        assert np.array_equal(sm.discretize_decision(values[:, -1]), want[:, -1])
 
     def test_exact_center_and_tie(self):
         sm = ScalingMap([np.array([0.0, 1.0])], np.array([0.0, 1.0]))
@@ -423,6 +439,12 @@ class TestClassifierParity:
 
 
 class TestMse:
+    def test_empty_test_set(self):
+        sm = ScalingMap([np.array([0.0, 1.0])], np.array([0.0, 1.0]))
+        rules = induce_rules(DecisionTable(np.array([[0]]), np.array([0])), sm)
+        with pytest.raises(ValueError, match="empty test set"):
+            mse(rules, Dataset(np.empty((0, 1)), np.empty(0)))
+
     def test_zero_when_all_correct(self):
         sm = ScalingMap([np.array([0.0, 1.0])], np.array([0.0, 1.0]))
         ds = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))

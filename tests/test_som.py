@@ -31,6 +31,10 @@ class TestGridDims:
         for N in range(1, 1001):
             assert grid_dims(N) == brute_force_dims(N)
 
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            grid_dims(0)
+
 
 def small_dataset(n=50, seed=0):
     rng = np.random.default_rng(seed)
@@ -112,6 +116,11 @@ class TestTrainSomCaches:
 
 
 class TestQuantizationError:
+    def test_empty_dataset_rejected(self):
+        grid = SomGrid(1, 1, np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="empty dataset"):
+            quantization_error(grid, Dataset(np.empty((0, 2)), np.empty(0)))
+
     def test_zero_when_prototypes_cover_data(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         grid = SomGrid(1, 2, X.copy())
