@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from . import dynamics, sweep as sweep_mod
-from .dataset import (SYNTHETIC_DEFAULTS, SYNTHETIC_KEYS, Dataset, DatasetError, SplitSpec, bound_error,
+from .dataset import (SYNTHETIC_DEFAULTS, SYNTHETIC_KEYS, Dataset, DatasetError, SplitSpec, check_value,
                       gen_synthetic, load_csv, min_max_normalize, split)
 from .dynamics import LoopConfig, NoiseParams
 from .nfis import NfisTrainParams
@@ -51,46 +50,15 @@ def _check_keys(obj, allowed: set[str], path: str) -> None:
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
-def _number(val, where: str, kind=float, minimum=None, maximum=None):
-    """`val` as a finite `kind` within [`minimum`, `maximum`]. Kind `tuple`
-    is one integer or a list of them, read as a tuple. JSON booleans are
-    not numbers here, and Python's json parser reads `Infinity` and `NaN`
-    as floats."""
-    if kind is tuple:
-        if isinstance(val, list):
-            return tuple(_number(v, f"{where}[{i}]", int, minimum, maximum) for i, v in enumerate(val))
-        kind = int
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {val!r}")
-    if isinstance(val, float) and not math.isfinite(val):
-        raise ConfigError(f"{where}: expected a finite number, got {val!r}")
-    if kind is int and int(val) != val:
-        raise ConfigError(f"{where}: expected an integer, got {val!r}")
-    problem = bound_error(val, minimum, maximum)
-    if problem:
-        raise ConfigError(f"{where}: {problem}")
+def _build(path: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, with the ValueError its own checks raise
+    reported as a config error at `path`, or at `path.field` when the error
+    names the field it rejects."""
     try:
-        return kind(val)
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{where}: expected a finite number, got an integer of {len(str(val))} digits") from None
-
-
-def _values(obj: dict, table: dict, path: str, cls=None) -> dict:
-    """The keys of `obj` that `table` declares, each checked as its
-    `(kind, minimum)`. A null stays null where `cls` defaults the field to
-    None."""
-    nullable = {f.name for f in fields(cls) if f.default is None} if cls else ()
-    return {key: val if val is None and key in nullable else _number(val, f"{path}.{key}", *table[key])
-            for key, val in obj.items() if key in table}
-
-
-def _build(path: str, cls, **kwargs):
-    """`cls(**kwargs)`, with the ValueError its own checks raise reported as
-    a config error at `path`."""
-    try:
-        return cls(**kwargs)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        field = getattr(exc, "field", None)
+        raise ConfigError(f"{path}.{field}: {exc.problem}" if field else f"{path}: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:
@@ -120,8 +88,9 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(f"$.dataset.{key}: expected a string, got {src[key]!r}")
     elif "synthetic" in src:
         _check_keys(src["synthetic"], SYNTHETIC_KEYS, "$.dataset.synthetic")
-        src = {"synthetic": {**SYNTHETIC_DEFAULTS,
-                             **_values(src["synthetic"], SYNTHETIC_KEYS, "$.dataset.synthetic")}}
+        syn = {**SYNTHETIC_DEFAULTS, **src["synthetic"]}
+        src = {"synthetic": {key: _build(f"$.dataset.synthetic.{key}", check_value, syn[key], *entry)
+                             for key, entry in SYNTHETIC_KEYS.items()}}
     else:
         raise ConfigError("$.dataset: one of 'csv' or 'synthetic' is required")
 
@@ -129,9 +98,9 @@ def load_config(path) -> RunConfig:
     for key, cls in (("split", SplitSpec), ("som", SomParams), ("nfis", NfisTrainParams)):
         section = doc.get(key, {})
         _check_keys(section, cls.FIELDS, f"$.{key}")
-        sections[key] = _build(f"$.{key}", cls, **_values(section, cls.FIELDS, f"$.{key}", cls))
-    noise = _build("$", NoiseParams, **_values(doc, NoiseParams.FIELDS, "$"))
-    loop = _build("$", LoopConfig, **_values(doc, LoopConfig.FIELDS, "$"),
+        sections[key] = _build(f"$.{key}", cls, **section)
+    noise = _build("$", NoiseParams, **{key: doc[key] for key in NoiseParams.FIELDS if key in doc})
+    loop = _build("$", LoopConfig, **{key: doc[key] for key in LoopConfig.FIELDS if key in doc},
                   som=sections["som"], nfis=sections["nfis"])
 
     sweep_doc = doc.get("sweep")
@@ -139,32 +108,14 @@ def load_config(path) -> RunConfig:
         sweep_doc = {}
     sweep_keys = {"alphas", "betas", "gammas", "extras", "system", *sweep_mod.SweepSpec.FIELDS}
     _check_keys(sweep_doc, sweep_keys, "$.sweep")
+    # An omitted axis sweeps the one value the run would use; extras are
+    # rule counts (sonfis) or bin counts (sorst).
     system = sweep_doc.get("system", "sonfis")
-    if system not in ("sonfis", "sorst"):
-        raise ConfigError(f"$.sweep.system: must be 'sonfis' or 'sorst', got {system!r}")
-    # Each axis lists values of one config key, checked as that key is; extras
-    # are rule counts (sonfis) or bin counts (sorst), one integer per cell.
-    axes = {"alphas": (noise, "alpha"), "betas": (noise, "beta"), "gammas": (noise, "gamma"),
-            "extras": (loop, "n_rules" if system == "sonfis" else "bins")}
     if system == "sorst" and isinstance(loop.bins, tuple) and "extras" not in sweep_doc:
         raise ConfigError("$.sweep.extras: required for a 'sorst' sweep when bins is a list")
-    grid = {}
-    for key, (params, name) in axes.items():
-        vals = sweep_doc.get(key, [getattr(params, name)])
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError(f"$.sweep.{key}: must be a non-empty list")
-        kind, *bounds = type(params).FIELDS[name]
-        kind = int if kind is tuple else kind
-        checked = [_number(v, f"$.sweep.{key}[{i}]", kind, *bounds) for i, v in enumerate(vals)]
-        # Parameter values keep their JSON form, so an integer alpha is
-        # written to sweep.csv as `1`, not `1.0`.
-        grid[key] = tuple(checked if kind is int else vals)
-    sweep_spec = _build("$.sweep", sweep_mod.SweepSpec, **grid,
-                        **{"repeats": 1, **_values(sweep_doc, sweep_mod.SweepSpec.FIELDS, "$.sweep")},
-                        base_config=loop, system=system)
-    if sweep_spec.burn_in >= loop.iterations:
-        raise ConfigError(f"$.sweep.burn_in: must be < iterations ({loop.iterations}), "
-                          f"got {sweep_spec.burn_in}")
+    defaults = {"alphas": [noise.alpha], "betas": [noise.beta], "gammas": [noise.gamma],
+                "extras": [loop.n_rules if system == "sonfis" else loop.bins], "repeats": 1}
+    sweep_spec = _build("$.sweep", sweep_mod.SweepSpec, **{**defaults, **sweep_doc}, base_config=loop)
 
     return RunConfig(src, sections["split"], noise, loop, sweep_spec)
 
@@ -179,9 +130,9 @@ def _prepare_data(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 
 
 def _cmd_gen_data(args) -> int:
-    ds = gen_synthetic(_number(args.n, "--n", *SYNTHETIC_KEYS["n"]),
-                       _number(args.noise, "--noise", *SYNTHETIC_KEYS["noise_sd"]),
-                       _number(args.seed, "--seed", *SYNTHETIC_KEYS["seed"]))
+    ds = gen_synthetic(_build("--n", check_value, args.n, *SYNTHETIC_KEYS["n"]),
+                       _build("--noise", check_value, args.noise, *SYNTHETIC_KEYS["noise_sd"]),
+                       _build("--seed", check_value, args.seed, *SYNTHETIC_KEYS["seed"]))
     ds.to_csv(args.out)
     return 0
 
@@ -199,7 +150,7 @@ def _cmd_run(args, system: str) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    workers = None if args.workers is None else _number(args.workers, "--workers", int, 1)
+    workers = None if args.workers is None else _build("--workers", check_value, args.workers, int, 1)
     cfg = load_config(args.config)
     train, test = _prepare_data(cfg)
     result = sweep_mod.run_sweep(cfg.sweep, train, test, keep_trajectories=args.trajectories is not None,

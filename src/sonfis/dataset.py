@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -23,25 +24,61 @@ class DatasetError(ValueError):
     pass
 
 
-def bound_error(value, minimum=None, maximum=None) -> str | None:
-    """Why `value` lies outside [`minimum`, `maximum`] (None: unbounded), or None."""
+def check_value(value, kind, minimum=None, maximum=None):
+    """`value` as a finite `kind` (int or float) within [`minimum`,
+    `maximum`] (None: unbounded). A boolean or other non-number, a
+    non-finite float, a fraction where `kind` is int, a value outside the
+    bounds, or an integer beyond the float range where `kind` is float
+    raises ValueError with the problem, such as `must be >= 0, got -1`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"must be a number, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    if kind is int and int(value) != value:
+        raise ValueError(f"must be an integer, got {value!r}")
     if maximum is not None and value > maximum:
-        return f"must be <= {maximum}, got {value}"
+        raise ValueError(f"must be <= {maximum}, got {value}")
     if minimum is not None and value < minimum:
-        return f"must be >= {minimum}, got {value}"
-    return None
+        raise ValueError(f"must be >= {minimum}, got {value}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"must be finite, got an integer of {len(str(value))} digits") from None
+
+
+def field_error(path: str, problem: str, error=ValueError) -> ValueError:
+    """`error("{name} {problem}")`, the name being the field `path` without
+    its list index, carrying `field` (the path, say `bins[1]`) and
+    `problem` for a reader that places the value in its own document."""
+    exc = error(f"{path.split('[')[0]} {problem}")
+    exc.field, exc.problem = path, problem
+    return exc
+
+
+def check_field(path: str, value, kind, minimum=None, maximum=None, error=ValueError):
+    """`check_value`, with a failure raised as `field_error(path, ...)`."""
+    try:
+        return check_value(value, kind, minimum, maximum)
+    except ValueError as exc:
+        raise field_error(path, str(exc), error) from None
 
 
 def check_fields(obj, error=ValueError) -> None:
-    """Raise `error` for the first field of `obj` outside its bounds in the
-    class's `FIELDS` table, `{field: (kind, minimum[, maximum])}`. A tuple is
-    checked entry by entry, a None value not at all."""
-    for name, (_, *bounds) in type(obj).FIELDS.items():
+    """Check every field of `obj` that the class's `FIELDS` table,
+    `{field: (kind, minimum[, maximum])}`, names, and store it as its kind.
+    Kind `tuple` is one integer or a list of them, stored as a tuple; None
+    passes only where the field defaults to None. The first failure raises
+    `field_error` with `error`."""
+    defaults = {f.name: f.default for f in fields(obj)}
+    for name, (kind, *bounds) in type(obj).FIELDS.items():
         value = getattr(obj, name)
-        for v in value if isinstance(value, tuple) else (value,):
-            problem = v is not None and bound_error(v, *bounds)
-            if problem:
-                raise error(f"{name} {problem}")
+        if value is None and defaults[name] is None:
+            continue
+        if kind is tuple and isinstance(value, (list, tuple)):
+            value = tuple(check_field(f"{name}[{i}]", v, int, *bounds, error=error) for i, v in enumerate(value))
+        else:
+            value = check_field(name, value, int if kind is tuple else kind, *bounds, error=error)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -220,9 +257,8 @@ SYNTHETIC_DEFAULTS = {"n": 693, "noise_sd": 0.05, "seed": 7}
 def gen_synthetic(n: int, noise_sd: float, seed: int) -> Dataset:
     """Synthetic 3-input benchmark: x ~ U[0,1]^3,
     y = 0.5*sin(2*pi*x1)*x2 + x3^2 + N(0, noise_sd^2)."""
-    for name, value in zip(SYNTHETIC_KEYS, (n, noise_sd, seed)):
-        if problem := bound_error(value, SYNTHETIC_KEYS[name][1]):
-            raise DatasetError(f"{name} {problem}")
+    n, noise_sd, seed = (check_field(name, value, *SYNTHETIC_KEYS[name], error=DatasetError)
+                         for name, value in zip(SYNTHETIC_KEYS, (n, noise_sd, seed)))
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, size=(n, 3))
     y = 0.5 * np.sin(2.0 * np.pi * X[:, 0]) * X[:, 1] + X[:, 2] ** 2

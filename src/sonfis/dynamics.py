@@ -22,7 +22,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from . import nfis, rst
-from .dataset import Dataset, check_fields
+from .dataset import Dataset, check_field, check_fields
 from .nfis import NfisTrainParams
 from .som import MAX_NEURONS, SomParams, extract_granules, grid_dims, train_som
 
@@ -38,9 +38,6 @@ class NoiseParams:
     FIELDS = {"alpha": (float, 0.0), "beta": (float, 0.0), "gamma": (float, None)}
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         check_fields(self)
 
 
@@ -64,8 +61,6 @@ class LoopConfig:
               "n_min": (int, 2), "n_max": (int, 2, MAX_NEURONS), "initial_N": (int, 1), "seed": (int, 0)}
 
     def __post_init__(self):
-        if isinstance(self.bins, list):
-            object.__setattr__(self, "bins", tuple(self.bins))
         check_fields(self)
         if self.n_max < self.n_min:
             raise ValueError("n_max must be >= n_min")
@@ -207,6 +202,7 @@ def order_metrics(traj: Trajectory, burn_in: int = 0) -> OrderMetrics:
     """Fluctuation statistics of the neuron-growth series after `burn_in`
     points, with a coefficient-of-variation regime label: laminar below
     LAMINAR_CV, disordered above DISORDERED_CV, transition between."""
+    burn_in = check_field("burn_in", burn_in, int, 0)
     if burn_in >= len(traj):
         raise ValueError("burn_in must be smaller than the trajectory length")
     NG = np.array([p.N for p in traj.points[burn_in:]], dtype=np.float64)

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError, check_fields, read_csv
+from .dataset import Dataset, DatasetError, check_field, check_fields, field_error, read_csv
 from .dynamics import LoopConfig, NoiseParams, OrderMetrics, order_metrics, run_sonfis, run_sorst_as
 
 # The sweep CSV's columns, in order, each with the type `load_csv_rows`
@@ -38,14 +38,24 @@ class SweepSpec:
     FIELDS = {"repeats": (int, 1, sys.maxsize), "burn_in": (int, 0)}
 
     def __post_init__(self):
-        for name in ("alphas", "betas", "gammas", "extras"):
-            vals = getattr(self, name)
-            object.__setattr__(self, name, tuple(vals))
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
-        check_fields(self)
         if self.system not in ("sonfis", "sorst"):
-            raise ValueError(f"unknown system {self.system!r}")
+            raise field_error("system", f"must be 'sonfis' or 'sorst', got {self.system!r}")
+        # Each axis lists values of one parameter, checked as that parameter
+        # is. Float entries keep their given form, so an integer alpha is
+        # written to sweep.csv as `1`, not `1.0`; extras are stored as ints.
+        extra = LoopConfig.FIELDS["n_rules" if self.system == "sonfis" else "bins"]
+        axes = {"alphas": NoiseParams.FIELDS["alpha"], "betas": NoiseParams.FIELDS["beta"],
+                "gammas": NoiseParams.FIELDS["gamma"], "extras": (int, *extra[1:])}
+        for name, (kind, *bounds) in axes.items():
+            vals = getattr(self, name)
+            if not isinstance(vals, (list, tuple)) or not vals:
+                raise field_error(name, "must be a non-empty list")
+            checked = tuple(check_field(f"{name}[{i}]", v, kind, *bounds) for i, v in enumerate(vals))
+            object.__setattr__(self, name, checked if kind is int else tuple(vals))
+        check_fields(self)
+        if self.burn_in >= self.base_config.iterations:
+            raise field_error("burn_in", f"must be < iterations ({self.base_config.iterations}), "
+                                         f"got {self.burn_in}")
 
     @property
     def grid(self) -> list[tuple[float, float, float, int]]:
@@ -137,8 +147,7 @@ def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
     if workers is None:
         affinity = getattr(os, "sched_getaffinity", None)
         workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = check_field("workers", workers, int, 1)
     grid = spec.grid
     workers = min(workers, len(grid) * spec.repeats)
     state = (spec, train, test, error_fn, keep_trajectories)

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,11 +47,20 @@ BAD_CONFIGS = [
     pytest.param("sweep", {"som": 3}, "$.som:", id="som-not-object"),
     pytest.param("sweep", {"sweep": 7}, "$.sweep:", id="sweep-not-object"),
     pytest.param("sweep", {"sweep": {"alphas": ["x"]}}, "$.sweep.alphas[0]:", id="alphas-entry-not-number"),
+    pytest.param("sweep", {"sweep": {"alphas": 0.9}}, "$.sweep.alphas: must be a non-empty list",
+                 id="alphas-not-list"),
+    pytest.param("sweep", {"sweep": {"gammas": []}}, "$.sweep.gammas: must be a non-empty list",
+                 id="gammas-empty"),
     pytest.param("sweep", {"sweep": {"repeats": "a"}}, "$.sweep.repeats:", id="repeats-not-number"),
     # Values a parameter object rejects.
     pytest.param("run-sonfis", {"alpha": math.inf}, "$.alpha:", id="alpha-infinite"),
     pytest.param("run-sonfis", {"gamma": math.nan}, "$.gamma:", id="gamma-nan"),
-    pytest.param("sweep", {"sweep": {"alphas": [math.nan]}}, "$.sweep.alphas[0]:", id="alphas-entry-nan"),
+    pytest.param("sweep", {"sweep": {"alphas": [math.nan]}}, "$.sweep.alphas[0]: must be finite, got nan",
+                 id="alphas-entry-nan"),
+    pytest.param("sweep", {"sweep": {"alphas": [0.9, -1]}}, "$.sweep.alphas[1]: must be >= 0.0",
+                 id="alphas-entry-negative"),
+    pytest.param("run-sonfis", {"iterations": 2.5}, "$.iterations: must be an integer, got 2.5",
+                 id="iterations-fraction"),
     pytest.param("run-sonfis", {"nfis": {"premise_learning_rate": 0}}, "$.nfis: premise_learning_rate",
                  id="learning-rate-zero"),
     pytest.param("run-sonfis", {"som": {"final_radius": 0}}, "$.som: final_radius", id="final-radius-zero"),
@@ -71,6 +81,7 @@ BAD_CONFIGS = [
     # Values that would run with every cell failed or every step a fallback.
     pytest.param("sweep", {"sweep": {"burn_in": 100}}, "$.sweep.burn_in:", id="burn-in-past-end"),
     pytest.param("sweep", {"sweep": {"extras": [1.5]}}, "$.sweep.extras[0]:", id="extras-not-integer"),
+    pytest.param("sweep", {"sweep": {"extras": [2, 0]}}, "$.sweep.extras[1]: must be >= 1", id="sonfis-no-rule"),
     pytest.param("run-sorst", {"bins": True}, "$.bins:", id="bins-bool"),
     pytest.param("sweep", {"sweep": {"system": "sorst", "extras": [1]}}, "$.sweep.extras[0]:",
                  id="sorst-one-bin"),
@@ -123,6 +134,46 @@ def past_bounds():
                 yield pytest.param(cls, path, bound + step, id=f"{'.'.join(path)}-above-maximum")
 
 
+# Values a Python caller may pass that a parameter object rejects, each with
+# the path of the field its error names.
+PYTHON_CALLER_CASES = [
+    pytest.param(LoopConfig, {"iterations": 3.5}, "iterations", id="iterations-fraction"),
+    pytest.param(LoopConfig, {"seed": 1.5}, "seed", id="seed-fraction"),
+    pytest.param(LoopConfig, {"bins": [3, 2.5, 3, 3], "iterations": 4}, "bins[1]", id="bins-entry-fraction"),
+    pytest.param(SomParams, {"epochs": 2.5}, "epochs", id="som-epochs-fraction"),
+    pytest.param(SomParams, {"final_radius": None}, "final_radius", id="final-radius-none"),
+    pytest.param(NfisTrainParams, {"epochs": math.inf}, "epochs", id="nfis-epochs-infinite"),
+    pytest.param(SplitSpec, {"n_train": 50.5}, "n_train", id="n-train-fraction"),
+    pytest.param(NoiseParams, {"alpha": True}, "alpha", id="alpha-bool"),
+    pytest.param(NoiseParams, {"alpha": "0.9"}, "alpha", id="alpha-string"),
+    pytest.param(SweepSpec, {"alphas": (0.9, -1.0)}, "alphas[1]", id="alphas-entry-negative"),
+    pytest.param(SweepSpec, {"alphas": (math.nan,)}, "alphas[0]", id="alphas-entry-nan"),
+    pytest.param(SweepSpec, {"betas": 0.001}, "betas", id="betas-not-list"),
+    pytest.param(SweepSpec, {"extras": (0,)}, "extras[0]", id="extras-no-rule"),
+    pytest.param(SweepSpec, {"extras": (3, 1), "system": "sorst"}, "extras[1]", id="sorst-extras-one-bin"),
+    pytest.param(SweepSpec, {"burn_in": 4}, "burn_in", id="burn-in-at-iterations"),
+    pytest.param(SweepSpec, {"system": "mlp"}, "system", id="unknown-system"),
+]
+
+
+def sweep_args(**kwargs):
+    """`SweepSpec` arguments for a one-cell sweep over SMALL's loop, updated by `kwargs`."""
+    loop = LoopConfig(iterations=SMALL["iterations"], initial_N=SMALL["initial_N"],
+                      som=SomParams(**SMALL["som"]), nfis=NfisTrainParams(**SMALL["nfis"]))
+    return {"alphas": [0.9], "betas": [0.001], "gammas": [0.5], "extras": [2], "repeats": 1,
+            "base_config": loop, **kwargs}
+
+
+def build_from_small(cls, key, value):
+    """`cls` built from its section of SMALL with `key` set to `value`,
+    as the config reader builds it."""
+    if cls is SweepSpec:
+        return SweepSpec(**sweep_args(**{key: value}))
+    section = SMALL.get(SECTIONS[cls], {}) if SECTIONS[cls] else {k: v for k, v in SMALL.items() if k in cls.FIELDS}
+    nested = {"som": SomParams(**SMALL["som"]), "nfis": NfisTrainParams(**SMALL["nfis"])} if cls is LoopConfig else {}
+    return cls(**{**section, key: value}, **nested)
+
+
 # Every key a config can set, as its path from the root.
 CONFIG_PATHS = [
     *[(key,) for key in ("alpha", "beta", "gamma", "iterations", "n_rules", "bins", "n_min", "n_max",
@@ -142,6 +193,12 @@ HOSTILE = st.sampled_from([DELETE, None, True, False, 0, 1, 2, 3, 20, -1, 0.5, 0
                            [0.5, "x"], [1e308], {}])
 # `dataset.synthetic.n` stays small, so every generated dataset is cheap.
 SMALL_N = st.sampled_from([DELETE, None, True, 0, 1, 2, 30, 60.0, -5, 2.5, math.nan, "x"])
+
+
+# Each key a parameter object checks, with the class: every `FIELDS` entry
+# and the sweep's axes and system.
+CHECKED_KEYS = [(cls, key) for cls in SECTIONS for key in cls.FIELDS] + [
+    (SweepSpec, key) for key in ("alphas", "betas", "gammas", "extras", "system")]
 
 
 @st.composite
@@ -206,6 +263,26 @@ class TestLoadConfig:
         p.write_text(block)
         assert load_config(p) == load_config(write_config(tmp_path, {}))
 
+    @settings(max_examples=800, deadline=None)
+    @given(entry=st.sampled_from(CHECKED_KEYS), value=HOSTILE.filter(lambda v: v is not DELETE))
+    def test_config_and_class_accept_the_same_values(self, tmp_path_factory, entry, value):
+        # The config reader applies no check of its own to a class's key:
+        # the command exits 2 exactly when the class rejects the value.
+        cls, key = entry
+        doc = copy.deepcopy(SMALL)
+        (doc.setdefault(SECTIONS[cls], {}) if SECTIONS[cls] else doc)[key] = copy.deepcopy(value)
+        path = tmp_path_factory.mktemp("same") / "config.json"
+        path.write_text(json.dumps(doc))
+        # A loaded config stops at the data with exit code 3 and runs nothing.
+        with mock.patch("sonfis.cli._prepare_data", side_effect=DatasetError("not run")):
+            code = execute(["run-sonfis", "--config", str(path), "--out", str(path.parent / "out")])
+        try:
+            build_from_small(cls, key, copy.deepcopy(value))
+        except ValueError:
+            assert code == 2
+        else:
+            assert code == 3
+
     @settings(max_examples=300, deadline=None)
     @given(doc=fuzzed_configs())
     def test_fuzzed_config_fails_only_as_config_or_data(self, tmp_path_factory, doc):
@@ -219,6 +296,34 @@ class TestLoadConfig:
             _prepare_data(cfg)
         except DatasetError:
             pass
+
+
+class TestParameterObjects:
+    @pytest.mark.parametrize("cls, kwargs, field", PYTHON_CALLER_CASES)
+    def test_python_caller_value_rejected_with_field(self, cls, kwargs, field):
+        error = DatasetError if cls is SplitSpec else ValueError
+        name = field.split("[")[0]
+        with pytest.raises(error, match=f"^{name} must be") as info:
+            if cls is SweepSpec:
+                SweepSpec(**sweep_args(**kwargs))
+            else:
+                cls(**kwargs)
+        assert info.type is error
+        assert info.value.field == field
+
+    def test_integral_floats_are_stored_as_ints(self):
+        cfg = LoopConfig(iterations=3.0, bins=[2.0, 3, 4.0])
+        assert cfg.iterations == 3 and type(cfg.iterations) is int
+        assert cfg.bins == (2, 3, 4) and all(type(b) is int for b in cfg.bins)
+        assert type(NfisTrainParams(epochs=2.0).epochs) is int
+        assert type(SplitSpec(n_train=50.0).n_train) is int
+        assert type(NoiseParams(alpha=1).alpha) is float
+
+    def test_readme_library_block_prints_order_metrics(self, capsys):
+        text = README.read_text().split("## Library", 1)[1]
+        block = text.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("OrderMetrics(mean_NG=")
 
 
 class TestExecute:
@@ -329,10 +434,8 @@ class TestExecute:
         cfg = write_config(tmp_path, doc)
         assert execute(["run-sonfis", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: $.{'.'.join(path)}:")
-        required = {"alphas": (0.9,), "betas": (0.001,), "gammas": (0.5,), "extras": (2,), "repeats": 1,
-                    "base_config": LoopConfig()} if cls is SweepSpec else {}
         with pytest.raises(DatasetError if cls is SplitSpec else ValueError, match=f"^{path[-1]} must be"):
-            cls(**{**required, path[-1]: value})
+            build_from_small(cls, path[-1], value)
 
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

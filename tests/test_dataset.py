@@ -171,7 +171,10 @@ class TestSynthetic:
         (0, 0.05, 1, "n must be >= 1"),
         (10, -0.1, 1, "noise_sd must be >= 0.0"),
         (10, 0.05, -1, "seed must be >= 0"),
-    ], ids=["n-zero", "noise-negative", "seed-negative"])
+        (10.5, 0.05, 1, "n must be an integer"),
+        (10, float("nan"), 1, "noise_sd must be finite"),
+        (10, 0.05, True, "seed must be a number"),
+    ], ids=["n-zero", "noise-negative", "seed-negative", "n-fraction", "noise-nan", "seed-bool"])
     def test_out_of_range_arguments_rejected(self, n, noise_sd, seed, match):
         with pytest.raises(DatasetError, match=match):
             gen_synthetic(n, noise_sd, seed)

@@ -51,7 +51,9 @@ class TestUpdateNeuronCount:
         # 1e308 * 100 is inf; clamping before the floor keeps it an integer.
         assert update_neuron_count(100, 0.0, NoiseParams(1e308, 0, 0), 4, 400) == 400
 
-    @pytest.mark.parametrize("field, value", [("alpha", math.nan), ("beta", math.inf), ("gamma", -math.inf)])
+    @pytest.mark.parametrize("field, value", [("alpha", math.nan), ("beta", math.inf), ("gamma", -math.inf),
+                                              ("alpha", 10**400)],
+                             ids=["alpha-nan", "beta-inf", "gamma--inf", "alpha-integer-beyond-float"])
     def test_non_finite_noise_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             NoiseParams(**{field: value})
@@ -202,6 +204,12 @@ class TestOrderMetrics:
     def test_burn_in_too_large(self):
         with pytest.raises(ValueError):
             order_metrics(make_traj([4, 4]), burn_in=2)
+
+    def test_negative_burn_in_rejected(self):
+        # A negative slice start would keep only the last points: here the
+        # one point N = 12, read as laminar with std_NG 0.
+        with pytest.raises(ValueError, match="^burn_in must be >= 0, got -1"):
+            order_metrics(make_traj([16, 14, 13, 12]), burn_in=-1)
 
     def test_stub_fixed_point_monotone_in_alpha(self):
         # fixed point (beta*E + gamma) / (1 - alpha) grows with alpha

@@ -279,3 +279,14 @@ class TestSpecValidation:
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError, match="system"):
             SweepSpec((0.9,), (0.001,), (0.5,), (2,), 1, LoopConfig(seed=0), system="mlp")
+
+    def test_burn_in_at_iterations_rejected(self):
+        with pytest.raises(ValueError, match=r"^burn_in must be < iterations \(5\), got 5") as info:
+            SweepSpec((0.9,), (0.001,), (0.5,), (2,), 1, LoopConfig(iterations=5), burn_in=5)
+        assert info.value.field == "burn_in"
+
+    def test_axes_keep_given_values_and_extras_become_ints(self):
+        spec = SweepSpec([1, 0.5], (0,), (2,), [2.0, 3], 1, LoopConfig())
+        assert (spec.alphas, spec.betas, spec.gammas) == ((1, 0.5), (0,), (2,))
+        assert [type(a) for a in spec.alphas] == [int, float]
+        assert [type(e) for e in spec.extras] == [int, int]
