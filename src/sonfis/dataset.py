@@ -101,8 +101,9 @@ class Dataset:
     norm_params: list[tuple[float, float]] | None = None  # per attribute (min, max)
 
     def __post_init__(self):
-        # A read-only copy: `distinct_X` is computed from X once.
-        self.X = np.array(self.X, dtype=np.float64)
+        # A read-only C-ordered copy, as the kernels read it: `distinct_X`
+        # is computed from X once.
+        self.X = np.array(self.X, dtype=np.float64, order="C")
         self.X.flags.writeable = False
         self.y = np.asarray(self.y, dtype=np.float64)
         if self.X.ndim != 2 or self.y.ndim != 1 or len(self.X) != len(self.y):
@@ -249,8 +250,13 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     )
 
 
-# `gen_synthetic`'s arguments in order, as `(kind, minimum)`, and their CLI defaults.
-SYNTHETIC_KEYS = {"n": (int, 1), "noise_sd": (float, 0.0), "seed": (int, 0)}
+# The most records `gen_synthetic` makes. Its arrays take 32 bytes a record,
+# 32 MB here, but a SOM of fewer than 48 neurons searches them through two
+# (n, N) float64 distance matrices, 750 MB together at this size.
+MAX_SYNTHETIC_N = 10**6
+
+# `gen_synthetic`'s arguments in order, as `(kind, minimum[, maximum])`, and their CLI defaults.
+SYNTHETIC_KEYS = {"n": (int, 1, MAX_SYNTHETIC_N), "noise_sd": (float, 0.0), "seed": (int, 0)}
 SYNTHETIC_DEFAULTS = {"n": 693, "noise_sd": 0.05, "seed": 7}
 
 

@@ -133,11 +133,13 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
               extras: int | tuple[int, ...], fit_eval, error_fn) -> Trajectory:
     """The close-open loop both systems share. Step t granulates `train`
     with a SOM of N_t neurons, measures E_t and applies the update law.
-    `fit_eval(granules, extra, seed)` fits the second layer with the step's
-    entry of `extras` (one count, or a tuple of one per step) and returns
-    (E_t, model), or None when the granules are degenerate; E_t is then
-    carried forward from t - 1 (the std of the test decisions at t = 1).
-    `error_fn(t, granules)`, when given, replaces the second layer."""
+    The granules are a Dataset, one record per live neuron
+    (`som.extract_granules`). `fit_eval(granules, extra, seed)` fits the
+    second layer with the step's entry of `extras` (one count, or a tuple
+    of one per step) and returns (E_t, model), or None when the granules
+    are degenerate; E_t is then carried forward from t - 1 (the std of the
+    test decisions at t = 1). `error_fn(t, granules)`, when given, replaces
+    the second layer."""
     points: list[TrajectoryPoint] = []
     N = cfg.initial_N
     E, final_model = float(np.std(test.y)), None
@@ -164,8 +166,9 @@ def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     granules per consequent unknown the least-squares fit can extrapolate
     far outside it, and the unclipped error would swamp the update law.
     `error_fn(t, granules)` is a test hook replacing the second layer (e.g.
-    a constant-error stub). Returns the trajectory; the final rule base is
-    `trajectory.final_model` (None when the hook is active)."""
+    a constant-error stub); it receives step t's granules as the Dataset
+    the second layer would fit. Returns the trajectory; the final rule base
+    is `trajectory.final_model` (None when the hook is active)."""
     def fit_eval(granules, n_rules, seed):
         if len(granules) < n_rules:
             return None
@@ -183,12 +186,11 @@ def run_sorst_as(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     `cfg.bins`, rules are induced, and E_t is the classifier MSE on the test
     data. `error_fn` is the hook of `run_sonfis`."""
     def fit_eval(granules, bins, seed):
-        gran_ds = Dataset(granules.inputs, granules.decisions, list(train.attribute_names))
         try:
-            scaling = rst.fit_scaling(gran_ds, bins, seed=seed)
+            scaling = rst.fit_scaling(granules, bins, seed=seed)
         except rst.ScalingError:  # constant attribute or collapsed codebook
             return None
-        rules = rst.induce_rules(rst.apply_scaling(scaling, gran_ds), scaling)
+        rules = rst.induce_rules(rst.apply_scaling(scaling, granules), scaling)
         return rst.mse(rules, test), rules
 
     return _run_loop(train, test, cfg, p, cfg.bins, fit_eval, error_fn)

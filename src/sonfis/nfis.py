@@ -13,7 +13,6 @@ import numpy as np
 
 from . import kernels
 from .dataset import Dataset, check_fields
-from .som import GranuleSet
 
 WIDTH_FLOOR_INIT = 0.1
 WIDTH_FLOOR_TRAIN = 0.01
@@ -81,13 +80,13 @@ def _kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
     return centers, labels
 
 
-def init_rulebase(granules: GranuleSet, n_rules: int, seed: int) -> FuzzyRuleBase:
+def init_rulebase(granules: Dataset, n_rules: int, seed: int) -> FuzzyRuleBase:
     """Place rule centers by seeded k-means over the granule inputs; widths
     are the per-dimension std of each cluster, floored at 0.1 (so a cluster
     of 0 or 1 members takes the floor); consequents start at zero."""
     if len(granules) < n_rules:
         raise ValueError(f"{len(granules)} granules cannot seed {n_rules} rules")
-    X = granules.inputs
+    X = granules.X
     centers, labels = _kmeans(X, n_rules, seed)
     sq_dev, counts = kernels.accumulate_by_bmu((X - centers[labels]) ** 2, labels, n_rules)
     widths = np.maximum(np.sqrt(sq_dev / np.maximum(counts, 1.0)[:, None]), WIDTH_FLOOR_INIT)
@@ -171,15 +170,14 @@ def _premise_gradients(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray,
     return gc, gs
 
 
-def train_hybrid(fis: FuzzyRuleBase, granules: GranuleSet, params: NfisTrainParams) -> FuzzyRuleBase:
+def train_hybrid(fis: FuzzyRuleBase, granules: Dataset, params: NfisTrainParams) -> FuzzyRuleBase:
     """Per epoch: exact least squares for the consequents, then one gradient
     step on the premise centers and widths (widths re-floored at 0.01). Both
     use the epoch's one set of firing strengths, since the consequents do
     not enter them. Returns a new rule base; the input is untouched."""
     if len(granules) == 0:
         raise ValueError("empty granule set")
-    X = np.asarray(granules.inputs, dtype=np.float64)
-    t = np.asarray(granules.decisions, dtype=np.float64)
+    X, t = granules.X, granules.y
     out = FuzzyRuleBase(fis.centers.copy(), fis.widths.copy(), fis.coeffs.copy())
     lr = params.premise_learning_rate
     for _ in range(params.epochs):

@@ -50,16 +50,6 @@ class SomGrid:
         return self.n1 * self.n2
 
 
-@dataclass
-class GranuleSet:
-    inputs: np.ndarray  # (m, d) live prototype vectors
-    decisions: np.ndarray  # (m,) mean decision of assigned records
-    support: np.ndarray  # (m,) assigned-record counts, all >= 1
-
-    def __len__(self) -> int:
-        return len(self.decisions)
-
-
 def grid_dims(N: int) -> tuple[int, int]:
     """Most-square factorization n1*n2 = N with n1 <= n2."""
     if N < 1:
@@ -92,12 +82,19 @@ def _initial_prototypes(uniq: np.ndarray, N: int, seed: int) -> np.ndarray:
 def _neighbourhoods(n1: int, n2: int, params: SomParams):
     """Each epoch's (N, N) neighbourhood matrix, in epoch order."""
     cheb = _grid_chebyshev(n1, n2)
+    # At a `2 * radius**2` no larger than this (a radius that rounds to 0,
+    # or whose square underflows) the Gaussian is its limit, the identity:
+    # a weight off the diagonal, exp(-c**2 / (2 * radius**2)) with c >= 1,
+    # is at most exp(-2**1000 / max(c)**2), which is 0 in float64. Computing
+    # it would warn of 0 / 0 on the diagonal or of an overflowing quotient.
+    vanishing = (max(n1, n2) - 1) ** 2 * 2.0**-1000
     r0 = params.initial_radius if params.initial_radius is not None else max(n1, n2) / 2.0
     r0 = max(r0, params.final_radius)
     for epoch in range(params.epochs):
         frac = epoch / (params.epochs - 1) if params.epochs > 1 else 0.0
         radius = r0 + (params.final_radius - r0) * frac
-        yield np.exp(-(cheb**2) / (2.0 * radius**2))
+        denom = 2.0 * radius**2
+        yield np.eye(n1 * n2) if denom <= vanishing else np.exp(-(cheb**2) / denom)
 
 
 def train_som(train: Dataset, dims: tuple[int, int], params: SomParams, seed: int) -> SomGrid:
@@ -105,11 +102,10 @@ def train_som(train: Dataset, dims: tuple[int, int], params: SomParams, seed: in
         raise ValueError("cannot train a SOM on an empty dataset")
     n1, n2 = dims
     N = n1 * n2
-    data = np.ascontiguousarray(train.X, dtype=np.float64)
     protos = _initial_prototypes(train.distinct_X, N, seed)
     for H in _neighbourhoods(n1, n2, params):
-        bmus = kernels.assign_bmus(data, protos)
-        sums, counts = kernels.accumulate_by_bmu(data, bmus, N)
+        bmus = kernels.assign_bmus(train.X, protos)
+        sums, counts = kernels.accumulate_by_bmu(train.X, bmus, N)
         kernels.move_prototypes(protos, H, sums, counts)
     return SomGrid(n1, n2, protos)
 
@@ -140,20 +136,16 @@ def quantization_error(grid: SomGrid, data: Dataset) -> float:
     """Mean Euclidean distance from each record to its BMU prototype."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    X = np.ascontiguousarray(data.X, dtype=np.float64)
-    bmus = kernels.assign_bmus(X, np.ascontiguousarray(grid.prototypes))
-    return float(np.linalg.norm(X - grid.prototypes[bmus], axis=1).mean())
+    bmus = kernels.assign_bmus(data.X, np.ascontiguousarray(grid.prototypes))
+    return float(np.linalg.norm(data.X - grid.prototypes[bmus], axis=1).mean())
 
 
-def extract_granules(grid: SomGrid, train: Dataset) -> GranuleSet:
-    """One granule per live neuron: prototype vector plus the mean decision
-    of the records whose BMU it is. Dead neurons are dropped."""
-    X = np.ascontiguousarray(train.X, dtype=np.float64)
-    bmus = kernels.assign_bmus(X, np.ascontiguousarray(grid.prototypes))
+def extract_granules(grid: SomGrid, train: Dataset) -> Dataset:
+    """The granules as a data table for the second layer: one row per live
+    neuron, in neuron order, whose inputs are its prototype and whose
+    decision is the mean decision of the records whose BMU it is. Dead
+    neurons are dropped."""
+    bmus = kernels.assign_bmus(train.X, np.ascontiguousarray(grid.prototypes))
     dec_sums, hits = kernels.accumulate_by_bmu(train.y.reshape(-1, 1), bmus, grid.n_neurons)
     live = hits > 0
-    return GranuleSet(
-        inputs=grid.prototypes[live].copy(),
-        decisions=dec_sums[live, 0] / hits[live],
-        support=hits[live].astype(np.int64),
-    )
+    return Dataset(grid.prototypes[live], dec_sums[live, 0] / hits[live], list(train.attribute_names))

@@ -25,7 +25,7 @@ from sonfis.rst import (
     indiscernibility_partition,
     induce_rules,
 )
-from sonfis.som import GranuleSet, SomGrid, SomParams, grid_dims, quantization_error, train_som
+from sonfis.som import SomGrid, SomParams, grid_dims, quantization_error, train_som
 from sonfis.sweep import SweepSpec, run_sweep
 
 
@@ -288,7 +288,7 @@ class TestCriterion7:
         rng = np.random.default_rng(42)
         X = rng.uniform(size=(30, 3))
         y = 0.3 * X[:, 0] - 0.2 * X[:, 1] + 0.7 * X[:, 2] + 0.05
-        granules = GranuleSet(X, y, np.ones(30, dtype=np.int64))
+        granules = Dataset(X, y)
         fis = nfis.init_rulebase(granules, 1, seed=0)
         fis = nfis.train_hybrid(fis, granules, nfis.NfisTrainParams(epochs=1))
         Xt = rng.uniform(size=(40, 3))

@@ -108,6 +108,12 @@ BAD_CONFIGS = [
     pytest.param("sweep", {"seed": -1}, "$.seed:", id="seed-negative"),
     pytest.param("run-sonfis", {"dataset": {"synthetic": {"seed": -1}}}, "$.dataset.synthetic.seed:",
                  id="synthetic-seed-negative"),
+    # More records than dataset.MAX_SYNTHETIC_N: 1e308 failed in NumPy with
+    # `Maximum allowed dimension exceeded`, and a smaller excess exhausted memory.
+    pytest.param("run-sonfis", {"dataset": {"synthetic": {"n": 1e308}}}, "$.dataset.synthetic.n:",
+                 id="synthetic-n-huge"),
+    pytest.param("run-sonfis", {"dataset": {"synthetic": {"n": 10**6 + 1}}}, "$.dataset.synthetic.n:",
+                 id="synthetic-n-above-max"),
     pytest.param("run-sonfis", {"split": {"shuffle_seed": -1}}, "$.split.shuffle_seed:",
                  id="shuffle-seed-negative"),
     # An integer beyond the float range, in a float key.
@@ -444,7 +450,8 @@ class TestExecute:
         assert capsys.readouterr().err.startswith(f"config error: {cfg}: cannot decode")
 
     @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--noise", "-1"), ("--noise", "nan"),
-                                             ("--noise", "inf"), ("--seed", "-1")])
+                                             ("--noise", "inf"), ("--seed", "-1"), ("--n", "10000000000"),
+                                             ("--n", "1000001")])
     def test_gen_data_bad_flag_exits_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "data.csv"
         assert execute(["gen-data", flag, value, "--out", str(out)]) == 2

@@ -9,6 +9,7 @@ import pytest
 import sonfis
 from sonfis.dataset import (
     Dataset,
+    MAX_SYNTHETIC_N,
     DatasetError,
     SplitSpec,
     denormalize_decision,
@@ -174,7 +175,10 @@ class TestSynthetic:
         (10.5, 0.05, 1, "n must be an integer"),
         (10, float("nan"), 1, "noise_sd must be finite"),
         (10, 0.05, True, "seed must be a number"),
-    ], ids=["n-zero", "noise-negative", "seed-negative", "n-fraction", "noise-nan", "seed-bool"])
+        (MAX_SYNTHETIC_N + 1, 0.05, 1, "n must be <= 1000000"),
+        (1e308, 0.05, 1, "n must be <= 1000000"),
+    ], ids=["n-zero", "noise-negative", "seed-negative", "n-fraction", "noise-nan", "seed-bool", "n-above-max",
+            "n-huge"])
     def test_out_of_range_arguments_rejected(self, n, noise_sd, seed, match):
         with pytest.raises(DatasetError, match=match):
             gen_synthetic(n, noise_sd, seed)

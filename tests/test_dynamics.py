@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sonfis.dataset import SplitSpec, gen_synthetic, min_max_normalize, split
+from sonfis.dataset import Dataset, SplitSpec, gen_synthetic, min_max_normalize, split
 from sonfis.dynamics import (
     LoopConfig,
     NoiseParams,
@@ -130,7 +130,13 @@ def test_systems_share_granulation(small_data):
     cfg = LoopConfig(iterations=8, initial_N=30, n_min=2, seed=4, som=SomParams(epochs=2))
     p = NoiseParams(0.8, 0.5, 1.0)
 
+    seen = []
+
     def stub(t, granules):
+        # The hook gets the granules as the data table the second layers fit.
+        assert isinstance(granules, Dataset)
+        assert granules.attribute_names == train.attribute_names
+        seen.append((t, len(granules)))
         return float(len(granules))
 
     def series(traj):
@@ -140,6 +146,7 @@ def test_systems_share_granulation(small_data):
     b = run_sorst_as(train, test, cfg, p, error_fn=stub)
     assert series(a) == series(b)
     assert len({pt.N for pt in a.points}) > 1
+    assert seen == 2 * [(pt.t, pt.live_granules) for pt in a.points]
 
 
 class TestRunSorstAs:

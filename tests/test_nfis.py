@@ -16,13 +16,6 @@ from sonfis.nfis import (
     rmse,
     train_hybrid,
 )
-from sonfis.som import GranuleSet
-
-
-def make_granules(X, y):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    return GranuleSet(X, y, np.ones(len(y), dtype=int))
 
 
 def masked_premise_gradients(fis, X, t, w):
@@ -120,7 +113,7 @@ class TestInitRulebase:
             n = int(rng.integers(8, 40))
             X = np.vstack([rng.random((n - 1, d)), np.full((1, d), 5.0)])  # one far outlier
             k = int(rng.integers(2, 7))
-            gs = make_granules(X, rng.random(n))
+            gs = Dataset(X, rng.random(n))
             fis = init_rulebase(gs, k, seed)
             centers, labels = _kmeans(X, k, seed)
             assert fis.centers.tobytes() == centers.tobytes()
@@ -129,24 +122,24 @@ class TestInitRulebase:
         assert singletons > 0
 
     def test_single_rule_at_centroid(self):
-        gs = make_granules([[0.0, 0.0], [1.0, 0.5], [0.5, 1.0]], [1, 2, 3])
+        gs = Dataset([[0.0, 0.0], [1.0, 0.5], [0.5, 1.0]], [1, 2, 3])
         fis = init_rulebase(gs, 1, seed=0)
-        assert np.allclose(fis.centers[0], gs.inputs.mean(axis=0))
+        assert np.allclose(fis.centers[0], gs.X.mean(axis=0))
 
     def test_two_separated_clusters(self):
-        gs = make_granules([[0.0], [0.01], [1.0], [0.99]], [0, 0, 1, 1])
+        gs = Dataset([[0.0], [0.01], [1.0], [0.99]], [0, 0, 1, 1])
         fis = init_rulebase(gs, 2, seed=1)
         centers = np.sort(fis.centers[:, 0])
         assert centers[0] == pytest.approx(0.005)
         assert centers[1] == pytest.approx(0.995)
 
     def test_width_floor(self):
-        gs = make_granules([[0.5], [0.5], [0.5], [0.9]], [0, 0, 0, 1])
+        gs = Dataset([[0.5], [0.5], [0.5], [0.9]], [0, 0, 0, 1])
         fis = init_rulebase(gs, 2, seed=2)
         assert (fis.widths >= 0.1).all()
 
     def test_too_few_granules(self):
-        gs = make_granules([[0.0]], [1])
+        gs = Dataset([[0.0]], [1])
         with pytest.raises(ValueError, match="granules"):
             init_rulebase(gs, 2, seed=0)
 
@@ -212,13 +205,13 @@ class TestTrainHybrid:
     def test_empty_granule_set(self):
         fis = FuzzyRuleBase(np.array([[0.0]]), np.array([[1.0]]), np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError, match="empty granule set"):
-            train_hybrid(fis, make_granules(np.empty((0, 1)), []), NfisTrainParams())
+            train_hybrid(fis, Dataset(np.empty((0, 1)), []), NfisTrainParams())
 
     def test_exact_linear_recovery_single_rule(self):
         rng = np.random.default_rng(1)
         X = rng.random((20, 2))
         y = 2 * X[:, 0] + 3 * X[:, 1] + 1
-        gs = make_granules(X, y)
+        gs = Dataset(X, y)
         fis = init_rulebase(gs, 1, seed=0)
         fis = train_hybrid(fis, gs, NfisTrainParams(epochs=1))
         pred = predict(fis, X)
@@ -232,7 +225,7 @@ class TestTrainHybrid:
         rng = np.random.default_rng(2)
         X = rng.random((30, 2))
         y = rng.random(30)
-        gs = make_granules(X, y)
+        gs = Dataset(X, y)
         fis = train_hybrid(init_rulebase(gs, 1, seed=0), gs, NfisTrainParams(epochs=5))
         A = np.column_stack([X, np.ones(len(X))])
         beta, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -240,13 +233,13 @@ class TestTrainHybrid:
 
     def test_constant_decisions_are_reproduced(self):
         rng = np.random.default_rng(3)
-        gs = make_granules(rng.random((10, 2)), np.full(10, 0.7))
+        gs = Dataset(rng.random((10, 2)), np.full(10, 0.7))
         fis = train_hybrid(init_rulebase(gs, 2, seed=1), gs, NfisTrainParams(epochs=3))
         assert np.allclose(predict(fis, rng.random((5, 2))), 0.7, atol=1e-8)
 
     def test_determinism(self):
         rng = np.random.default_rng(4)
-        gs = make_granules(rng.random((15, 2)), rng.random(15))
+        gs = Dataset(rng.random((15, 2)), rng.random(15))
         p = NfisTrainParams(epochs=4)
         f1 = train_hybrid(init_rulebase(gs, 3, seed=5), gs, p)
         f2 = train_hybrid(init_rulebase(gs, 3, seed=5), gs, p)
@@ -258,7 +251,7 @@ class TestTrainHybrid:
         rng = np.random.default_rng(6)
         X = rng.random((25, 2))
         y = rng.random(25)
-        gs = make_granules(X, y)
+        gs = Dataset(X, y)
         fis = init_rulebase(gs, 3, seed=2)
         fis.coeffs = rng.normal(0, 1, fis.coeffs.shape)
         before = np.sqrt(np.mean((predict(fis, X) - y) ** 2))
@@ -270,9 +263,9 @@ class TestTrainHybrid:
 
     def test_underdetermined_uses_minimum_norm(self):
         # 2 granules, 2 rules, 2 inputs: 6 consequent parameters
-        gs = make_granules([[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0])
+        gs = Dataset([[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0])
         fis = train_hybrid(init_rulebase(gs, 2, seed=0), gs, NfisTrainParams(epochs=1))
-        assert np.abs(predict(fis, gs.inputs) - gs.decisions).max() < 1e-9
+        assert np.abs(predict(fis, gs.X) - gs.y).max() < 1e-9
 
 
 class TestPremiseGradients:

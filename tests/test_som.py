@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sonfis import kernels
 from sonfis.dataset import Dataset, gen_synthetic, min_max_normalize
-from sonfis.som import SomGrid, SomParams, extract_granules, grid_dims, quantization_error, train_som
+from sonfis.som import (SomGrid, SomParams, _grid_chebyshev, _neighbourhoods, extract_granules, grid_dims,
+                        quantization_error, train_som)
 
 
 def brute_force_dims(N):
@@ -60,9 +64,8 @@ class TestTrainSom:
         g2 = train_som(ds, (3, 4), p, seed=42)
         assert np.array_equal(g1.prototypes, g2.prototypes)
         gs1, gs2 = extract_granules(g1, ds), extract_granules(g2, ds)
-        assert np.array_equal(gs1.inputs, gs2.inputs)
-        assert np.array_equal(gs1.decisions, gs2.decisions)
-        assert np.array_equal(gs1.support, gs2.support)
+        assert np.array_equal(gs1.X, gs2.X)
+        assert np.array_equal(gs1.y, gs2.y)
 
     def test_record_order_invariance(self):
         ds = small_dataset()
@@ -77,6 +80,35 @@ class TestTrainSom:
         ds = Dataset(np.empty((0, 2)), np.empty(0))
         with pytest.raises(ValueError):
             train_som(ds, (1, 1), SomParams(), seed=0)
+
+    # Radii whose Gaussian vanishes off the diagonal, on a 10 x 10 grid
+    # (initial radius 5): an epoch with H = I moves each neuron with records
+    # to their mean, as the limit of a shrinking radius does.
+    @pytest.mark.parametrize("radii, identity_epochs", [
+        ((None, 1e-17), [2]),  # 5 + (1e-17 - 5) == 0.0 at the last epoch
+        ((1e-200, 1e-200), [0, 1, 2]),  # 2 * radius**2 underflows to 0
+        ((1e-155, 1e-155), [0, 1, 2]),  # 1 / (2 * radius**2) overflows
+    ], ids=["radius-rounds-to-zero", "square-underflows", "quotient-overflows"])
+    def test_vanishing_radius_epoch_is_identity(self, radii, identity_epochs):
+        params = SomParams(epochs=3, initial_radius=radii[0], final_radius=radii[1])
+        r0 = 5.0 if radii[0] is None else radii[0]
+        cheb = _grid_chebyshev(10, 10)
+        for epoch, H in enumerate(_neighbourhoods(10, 10, params)):
+            assert np.array_equal(H, np.eye(100)) == (epoch in identity_epochs)
+            # Every epoch holds the Gaussian's bytes, 0 / 0 on the diagonal read as its limit 1.
+            radius = r0 + (radii[1] - r0) * (epoch / 2)
+            with np.errstate(all="ignore"):
+                gaussian = np.exp(-(cheb**2) / (2.0 * radius**2))
+            assert H.tobytes() == np.where(np.isnan(gaussian), 1.0, gaussian).tobytes()
+        ds = small_dataset(200, 3)
+        after = train_som(ds, (10, 10), params, seed=1).prototypes  # a RuntimeWarning would raise here
+        if radii[0] == radii[1]:  # every epoch is H = I, so the third is one more Lloyd step
+            before = train_som(ds, (10, 10), replace(params, epochs=2), seed=1).prototypes
+            sums, counts = kernels.accumulate_by_bmu(ds.X, kernels.assign_bmus(ds.X, before), 100)
+            live = counts > 0
+            assert not np.array_equal(after[live], before[live])
+            assert np.array_equal(after[live], sums[live] / counts[live, None])
+            assert np.array_equal(after[~live], before[~live])
 
 
 class TestTrainSomCaches:
@@ -113,6 +145,8 @@ class TestTrainSomCaches:
         X[:] = 0.0
         assert not (ds.X == 0.0).all()
         assert np.array_equal(ds.distinct_X, before)
+        # The copy is C-ordered whatever the input's order, as the kernels read it.
+        assert Dataset(np.asfortranarray(X), np.zeros(len(X))).X.flags.c_contiguous
 
 
 class TestQuantizationError:
@@ -140,13 +174,26 @@ class TestQuantizationError:
         assert quantization_error(trained, ds) <= quantization_error(init, ds)
 
 
+def assert_granules_partition(grid, ds, gs):
+    """`gs` is one row per distinct BMU of the records, in neuron order:
+    that neuron's prototype and the mean decision of its records. So dead
+    neurons are dropped and every record falls in exactly one granule."""
+    bmus = np.argmin(((ds.X[:, None, :] - grid.prototypes[None, :, :]) ** 2).sum(axis=2), axis=1)
+    live = np.unique(bmus)
+    assert isinstance(gs, Dataset)
+    assert len(gs) == len(live)
+    assert np.array_equal(gs.X, grid.prototypes[live])
+    assert np.allclose(gs.y, [ds.y[bmus == j].mean() for j in live], rtol=0, atol=1e-12)
+    assert gs.attribute_names == ds.attribute_names
+
+
 class TestExtractGranules:
     def test_single_neuron_mean_decision(self):
         ds = Dataset(np.array([[0.1], [0.9]]), np.array([2.0, 4.0]))
         grid = train_som(ds, (1, 1), SomParams(epochs=3), seed=0)
         gs = extract_granules(grid, ds)
         assert len(gs) == 1
-        assert gs.decisions[0] == pytest.approx(3.0)
+        assert gs.y[0] == pytest.approx(3.0)
 
     def test_dead_neurons_dropped(self):
         # 2 tight clusters, 9 neurons: several neurons must starve.
@@ -155,20 +202,17 @@ class TestExtractGranules:
         ds = Dataset(np.clip(X, 0, 1), np.r_[np.zeros(20), np.ones(20)])
         grid = train_som(ds, (3, 3), SomParams(epochs=20, final_radius=0.5), seed=4)
         gs = extract_granules(grid, ds)
-        assert 1 <= len(gs) <= 9
-        assert (gs.support >= 1).all()
+        assert 1 <= len(gs) < 9
+        assert_granules_partition(grid, ds, gs)
 
     def test_support_partitions_training_set(self):
         ds = small_dataset(80, 7)
         grid = train_som(ds, (3, 3), SomParams(epochs=10), seed=7)
-        gs = extract_granules(grid, ds)
-        assert gs.support.sum() == len(ds)
+        assert_granules_partition(grid, ds, extract_granules(grid, ds))
 
     @given(st.integers(min_value=1, max_value=60))
     @settings(max_examples=20, deadline=None)
     def test_support_partition_property(self, seed):
         ds = small_dataset(40, seed)
         grid = train_som(ds, (2, 2), SomParams(epochs=5), seed=seed)
-        gs = extract_granules(grid, ds)
-        assert (gs.support >= 1).all()
-        assert gs.support.sum() == len(ds)
+        assert_granules_partition(grid, ds, extract_granules(grid, ds))
