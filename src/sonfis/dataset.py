@@ -251,8 +251,8 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 
 
 # The most records `gen_synthetic` makes. Its arrays take 32 bytes a record,
-# 32 MB here, but a SOM of fewer than 48 neurons searches them through two
-# (n, N) float64 distance matrices, 750 MB together at this size.
+# 32 MB here, but a SOM of fewer than 36 neurons searches them through two
+# (n, N) float64 distance matrices, 560 MB together at this size.
 MAX_SYNTHETIC_N = 10**6
 
 # `gen_synthetic`'s arguments in order, as `(kind, minimum[, maximum])`, and their CLI defaults.

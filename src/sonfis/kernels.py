@@ -25,12 +25,14 @@ import numpy as np
 BACKEND = "numpy"  # printed with every benchmark result
 
 # m * d (prototypes times attributes) from which `assign_bmus` prefilters.
-# Measured with one BLAS thread at d = 3, the benchmark data's width: on 600
-# records the two paths break even between m * d = 96 and 132 and the
-# prefilter is 2.4x faster at 144; on 4500 records it is 1.5x faster at 48
-# and 7x at 1200 (a 20 x 20 grid). At d = 1 the break-even is near 190, at
-# d = 8 below 64.
-PREFILTER_MIN_MD = 144
+# Measured with one BLAS thread at d = 3, the benchmark data's width, median
+# microseconds per call (exact loop / prefilter) over alternating rounds: on
+# 600 records the two break even between m * d = 102 (187 / 197) and 108
+# (196 / 192), and the prefilter is 2.4x faster at 126 and 3.8x at 144; on
+# 4500 records it is 1.8x faster at 48 and 10x at 1200 (a 20 x 20 grid); on
+# 93 records the exact loop wins up to 192 at least. At d = 1 the break-even
+# is near 190, at d = 8 below 48.
+PREFILTER_MIN_MD = 108
 # Elements of one (rows, m) block of the prefilter, small enough for cache.
 BLOCK_ELEMENTS = 1 << 16
 # Input with a nonzero magnitude below TINY, or a squared row norm above
@@ -135,7 +137,8 @@ def _assign_prefiltered(data, protos):
         cols = a.argmin(axis=1, out=bmus[lo:lo + step])
         best[lo:lo + step] = a[rows, cols]
         a[rows, cols] = np.inf
-        a.min(axis=1, out=second[lo:lo + step])
+        # The runner-up's score, read at its argmin: faster than a.min(axis=1).
+        second[lo:lo + step] = a[rows, a.argmin(axis=1)]
     rows = np.flatnonzero(second <= best + tau)
     if rows.size:
         bmus[rows] = assign_exact(data[rows], protos)

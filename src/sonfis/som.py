@@ -17,9 +17,8 @@ import numpy as np
 from . import kernels
 from .dataset import Dataset, check_fields
 
-# The most neurons one SOM may have: a 64 x 64 grid. Training builds (N, N)
-# float64 Chebyshev and neighbourhood matrices, 128 MiB each at this size,
-# plus temporaries of the same shape.
+# The most neurons one SOM may have: a 64 x 64 grid. Training writes every
+# epoch's neighbourhood into one (N, N) float64 buffer, 128 MiB at this size.
 MAX_NEURONS = 4096
 
 
@@ -60,14 +59,6 @@ def grid_dims(N: int) -> tuple[int, int]:
     raise AssertionError("unreachable")
 
 
-def _grid_chebyshev(n1: int, n2: int) -> np.ndarray:
-    """Pairwise Chebyshev distance between grid positions, (N, N)."""
-    rows, cols = np.divmod(np.arange(n1 * n2), n2)
-    dr = np.abs(rows[:, None] - rows[None, :])
-    dc = np.abs(cols[:, None] - cols[None, :])
-    return np.maximum(dr, dc).astype(np.float64)
-
-
 def _initial_prototypes(uniq: np.ndarray, N: int, seed: int) -> np.ndarray:
     """N initial prototypes sampled from the sorted distinct records `uniq`
     (`np.unique(data, axis=0)`), without replacement when there are enough:
@@ -80,21 +71,43 @@ def _initial_prototypes(uniq: np.ndarray, N: int, seed: int) -> np.ndarray:
 
 
 def _neighbourhoods(n1: int, n2: int, params: SomParams):
-    """Each epoch's (N, N) neighbourhood matrix, in epoch order."""
-    cheb = _grid_chebyshev(n1, n2)
+    """Each epoch's (N, N) neighbourhood matrix, in epoch order. Every epoch
+    is written into the same buffer, so a matrix is valid only until the
+    next one is drawn.
+
+    The Gaussian is taken once per grid distance k, into the table g. Since
+    g is non-increasing in k, min(g[|row gap|], g[|column gap|]) is g at the
+    Chebyshev distance max(|row gap|, |column gap|): the same double as the
+    Gaussian of that distance computed directly."""
+    K = max(n1, n2)
+    neg_ksq = -(np.arange(K, dtype=np.float64) ** 2)
+    # buf[i, j, p, q] is H[i * n2 + j, p * n2 + q], the weight between grid
+    # cells (i, j) and (p, q); dr and dc index it by |i - p| and |j - q|.
+    dr = np.abs(np.subtract.outer(np.arange(n1), np.arange(n1)))[:, None, :, None]
+    dc = np.abs(np.subtract.outer(np.arange(n2), np.arange(n2)))[None, :, None, :]
+    buf = np.empty((n1, n2, n1, n2))
+    H = buf.reshape(n1 * n2, n1 * n2)
     # At a `2 * radius**2` no larger than this (a radius that rounds to 0,
     # or whose square underflows) the Gaussian is its limit, the identity:
     # a weight off the diagonal, exp(-c**2 / (2 * radius**2)) with c >= 1,
     # is at most exp(-2**1000 / max(c)**2), which is 0 in float64. Computing
     # it would warn of 0 / 0 on the diagonal or of an overflowing quotient.
-    vanishing = (max(n1, n2) - 1) ** 2 * 2.0**-1000
-    r0 = params.initial_radius if params.initial_radius is not None else max(n1, n2) / 2.0
+    vanishing = (K - 1) ** 2 * 2.0**-1000
+    r0 = params.initial_radius if params.initial_radius is not None else K / 2.0
     r0 = max(r0, params.final_radius)
     for epoch in range(params.epochs):
         frac = epoch / (params.epochs - 1) if params.epochs > 1 else 0.0
         radius = r0 + (params.final_radius - r0) * frac
-        denom = 2.0 * radius**2
-        yield np.eye(n1 * n2) if denom <= vanishing else np.exp(-(cheb**2) / denom)
+        try:
+            denom = 2.0 * radius**2
+        except OverflowError:  # radius above about 1.3e154: every weight is exp(-0.0) = 1
+            denom = np.inf
+        if denom <= vanishing:
+            yield np.eye(n1 * n2)
+            continue
+        g = np.exp(neg_ksq / denom)
+        np.minimum(g[dr], g[dc], out=buf)
+        yield H
 
 
 def train_som(train: Dataset, dims: tuple[int, int], params: SomParams, seed: int) -> SomGrid:

@@ -254,6 +254,7 @@ def profile_from_rows(rows: list[dict], axis: str) -> dict:
     values present in `rows` in ascending order (a failed repeat has no row),
     plus the value with the largest increase in std_NG from the value before
     it (the transition locus). The locus is flagged weak when the jump is
+    not positive (a flat or falling profile, all-zero stds included) or is
     under 10% of the mean std."""
     if axis not in ("alpha", "beta", "gamma", "extra"):
         raise ValueError(f"unknown axis {axis!r}")
@@ -275,7 +276,7 @@ def profile_from_rows(rows: list[dict], axis: str) -> dict:
         jumps = np.diff(stds)
         j = int(np.argmax(jumps))
         locus = values[j + 1]
-        weak = bool(jumps[j] < 0.1 * float(stds.mean()))
+        weak = bool(jumps[j] <= 0 or jumps[j] < 0.1 * float(stds.mean()))
     else:
         locus, weak = values[0], True
     return {"axis": axis, "profile": profile, "transition_locus": locus, "weak": weak}

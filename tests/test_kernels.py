@@ -199,6 +199,39 @@ def test_runner_up_at_the_margin_is_recomputed(impl, exact_rows):
         assert exact_rows == recomputed
 
 
+@KERNELS
+def test_runner_up_at_the_block_edges_or_tied(impl):
+    """The runner-up is read at each row's argmin once the best score is
+    masked. Prototypes 2**-51 to 2**-53 apart, relative, sit in the block's
+    first and last columns, so the product misranks rows whose runner-up
+    lies there; other rows have five runners-up at exactly one distance."""
+    edge_misranks = 0
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for e in (51, 52, 53):
+            base = rng.random((40, 3)) * 4.0 - 2.0
+            sign = rng.choice([-1.0, 1.0], (2, 3))
+            protos = np.concatenate([base[:1] * (1.0 + sign[0] * 2.0**-e), base,
+                                     base[-1:] * (1.0 + sign[1] * 2.0**-e)])
+            m = len(protos)
+            centre = np.array([3.0, 3.0, 3.0])  # best at distance 0.25, five runners-up at 0.5
+            protos[10] = centre + [0.0, 0.0, -0.25]
+            protos[11:16] = centre + [[0.0, 0.0, 0.5], [0.0, 0.5, 0.0], [0.5, 0.0, 0.0],
+                                      [0.0, -0.5, 0.0], [-0.5, 0.0, 0.0]]
+            data = np.concatenate([rng.random((2000, 3)) * 4.0 - 2.0, np.tile(centre, (5, 1))])
+            assert protos.size >= impl.PREFILTER_MIN_MD
+            want = EXACT(data, protos)
+            product = data @ (-2.0 * protos.T) + np.einsum("ij,ij->i", protos, protos)
+            best = product.argmin(axis=1)
+            product[np.arange(len(data)), best] = np.inf
+            runner_up = product.argmin(axis=1)
+            edge_misranks += np.count_nonzero((best != want) & ((runner_up == 0) | (runner_up == m - 1)))
+            assert (want[-5:] == 10).all() and (product[-5:, 11:16] == product[-5:, 11:12]).all()
+            for assign in assign_paths(impl):
+                assert np.array_equal(assign(data, protos), want)
+    assert edge_misranks > 100
+
+
 @pytest.mark.parametrize("scale, whole", [(1e150, False), (1e-130, False), (1e160, True), (1e200, True),
                                           (1e-140, True), (1e-300, True), (5e-324, True)])
 @KERNELS

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from sonfis import kernels
 from sonfis.dataset import Dataset, gen_synthetic, min_max_normalize
-from sonfis.som import (SomGrid, SomParams, _grid_chebyshev, _neighbourhoods, extract_granules, grid_dims,
-                        quantization_error, train_som)
+from sonfis.rst import SCALING_SOM
+from sonfis.som import (SomGrid, SomParams, _neighbourhoods, extract_granules, grid_dims, quantization_error,
+                        train_som)
 
 
 def brute_force_dims(N):
@@ -38,6 +40,14 @@ class TestGridDims:
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="N must be >= 1"):
             grid_dims(0)
+
+
+def grid_chebyshev(n1, n2):
+    """Pairwise Chebyshev distance between grid positions, (N, N) float64."""
+    rows, cols = np.divmod(np.arange(n1 * n2), n2)
+    dr = np.abs(rows[:, None] - rows[None, :])
+    dc = np.abs(cols[:, None] - cols[None, :])
+    return np.maximum(dr, dc).astype(np.float64)
 
 
 def small_dataset(n=50, seed=0):
@@ -92,7 +102,7 @@ class TestTrainSom:
     def test_vanishing_radius_epoch_is_identity(self, radii, identity_epochs):
         params = SomParams(epochs=3, initial_radius=radii[0], final_radius=radii[1])
         r0 = 5.0 if radii[0] is None else radii[0]
-        cheb = _grid_chebyshev(10, 10)
+        cheb = grid_chebyshev(10, 10)
         for epoch, H in enumerate(_neighbourhoods(10, 10, params)):
             assert np.array_equal(H, np.eye(100)) == (epoch in identity_epochs)
             # Every epoch holds the Gaussian's bytes, 0 / 0 on the diagonal read as its limit 1.
@@ -109,6 +119,53 @@ class TestTrainSom:
             assert not np.array_equal(after[live], before[live])
             assert np.array_equal(after[live], sums[live] / counts[live, None])
             assert np.array_equal(after[~live], before[~live])
+
+
+class TestNeighbourhoods:
+    """Each epoch's H is the Gaussian of the Chebyshev grid distance, byte
+    for byte, although it is built as the smaller of two per-axis weights
+    from one table of distances."""
+
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 5), (2, 3), (5, 13), (7, 8), (10, 10), (20, 20)])
+    @pytest.mark.parametrize("params", [
+        SomParams(), SCALING_SOM, SomParams(epochs=1), SomParams(epochs=4, initial_radius=1e8),
+        SomParams(epochs=3, initial_radius=1e30), SomParams(epochs=3, initial_radius=1e300),
+    ], ids=["default", "scaling", "one-epoch", "radius-1e8", "radius-1e30", "radius-1e300"])
+    def test_each_epoch_is_the_chebyshev_gaussian(self, dims, params):
+        n1, n2 = dims
+        cheb = grid_chebyshev(n1, n2)
+        r0 = params.initial_radius if params.initial_radius is not None else max(n1, n2) / 2.0
+        epochs = [H.copy() for H in _neighbourhoods(n1, n2, params)]  # each copied before the next is drawn
+        assert len(epochs) == params.epochs
+        for epoch, H in enumerate(epochs):
+            frac = epoch / (params.epochs - 1) if params.epochs > 1 else 0.0
+            radius = r0 + (params.final_radius - r0) * frac
+            # A radius whose square overflows is infinitely wide; one that
+            # rounds to 0 gives 0 / 0 on the diagonal, read as its limit 1.
+            denom = 2 * radius**2 if radius < 1e154 else np.inf
+            with np.errstate(all="ignore"):
+                gaussian = np.exp(-(cheb**2) / denom)
+            want = np.where(np.isnan(gaussian), 1.0, gaussian)
+            assert H.shape == want.shape and H.tobytes() == want.tobytes()
+
+    def test_gaussian_table_is_non_increasing(self):
+        """The identity min(g[a], g[b]) == g[max(a, b)] needs only this:
+        exp(-k**2 / denom) never rises with k, at any denominator."""
+        k = np.arange(64, dtype=np.float64)
+        for denom in np.logspace(-300, 300, 20001):
+            g = np.exp(-(k**2) / denom)
+            assert np.all(g[1:] <= g[:-1]), denom
+
+    def test_largest_grid_uses_one_buffer(self):
+        """At MAX_NEURONS every epoch reuses one 128 MiB (N, N) buffer."""
+        tracemalloc.start()
+        try:
+            for H in _neighbourhoods(64, 64, SomParams(epochs=2)):
+                assert H.shape == (4096, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 2**20
 
 
 class TestTrainSomCaches:

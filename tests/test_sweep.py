@@ -199,6 +199,12 @@ class TestTransitionProfile:
         profile = transition_profile(SweepResult(spec, cells), "alpha")
         assert profile["weak"]
 
+    def test_all_zero_stds_are_a_weak_locus(self):
+        # every cell at a fixed point after burn-in: no jump, so no transition
+        rows = [{"alpha": a, "mean_NG": 4.0, "std_NG": 0.0} for a in (0.7, 0.75, 0.8)]
+        profile = profile_from_rows(rows, "alpha")
+        assert profile["weak"] is True
+
     def test_failed_cell_is_not_the_locus(self):
         # std = (1, failed, 1.1, 5): the failed cell is left out, and the
         # locus is the 1.1 -> 5 jump
