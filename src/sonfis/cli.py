@@ -62,9 +62,10 @@ def _build(path: str, make, *args, **kwargs):
 
 
 def load_config(path) -> RunConfig:
-    """Read and validate the JSON run configuration."""
+    """Read and validate the JSON run configuration; a leading UTF-8
+    byte-order mark is dropped."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

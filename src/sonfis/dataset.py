@@ -46,6 +46,13 @@ def check_value(value, kind, minimum=None, maximum=None):
         raise ValueError(f"must be finite, got an integer of {len(str(value))} digits") from None
 
 
+def derive_seed(*keys: int) -> int:
+    """A seed that is a pure function of the integer `keys`, drawn from
+    `np.random.SeedSequence(keys)`: the one way runs, layers and sweep
+    cells derive their seeds."""
+    return int(np.random.SeedSequence(keys).generate_state(1)[0])
+
+
 def field_error(path: str, problem: str, error=ValueError) -> ValueError:
     """`error("{name} {problem}")`, the name being the field `path` without
     its list index, carrying `field` (the path, say `bins[1]`) and
@@ -142,13 +149,13 @@ class Dataset:
 
 
 def read_csv(path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """The header of the UTF-8 CSV file at `path`, and an iterator over its
-    non-blank rows as `(row number, cells)`, counting lines from 1 after the
-    header. A file that cannot be opened, decoded or parsed, or has no header,
-    or a row of another width than the header raises DatasetError naming
-    `path`."""
+    """The header of the UTF-8 CSV file at `path`, less a leading byte-order
+    mark, and an iterator over its non-blank rows as `(row number, cells)`,
+    counting lines from 1 after the header. A file that cannot be opened,
+    decoded or parsed, or has no header, or a row of another width than the
+    header raises DatasetError naming `path`."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             records = iter(list(csv.reader(fh)))
     except OSError as exc:
         raise DatasetError(f"cannot open {path}: {exc}") from exc

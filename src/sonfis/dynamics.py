@@ -22,7 +22,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from . import nfis, rst
-from .dataset import Dataset, check_field, check_fields
+from .dataset import Dataset, check_field, check_fields, derive_seed
 from .nfis import NfisTrainParams
 from .som import MAX_NEURONS, SomParams, extract_granules, grid_dims, train_som
 
@@ -123,12 +123,6 @@ def update_neuron_count(N_t: int, E_t: float, p: NoiseParams, n_min: int, n_max:
     return math.floor(min(max(raw, n_min), n_max))
 
 
-def _iter_seed(master: int, t: int, stream: int = 0) -> int:
-    """Per-iteration seed: a pure function of (master seed, iteration,
-    stream). Stream 0 is the SOM, stream 1 the second layer."""
-    return int(np.random.SeedSequence([master, stream, t]).generate_state(1)[0])
-
-
 def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
               extras: int | tuple[int, ...], fit_eval, error_fn) -> Trajectory:
     """The close-open loop both systems share. Step t granulates `train`
@@ -139,19 +133,20 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     of one per step) and returns (E_t, model), or None when the granules
     are degenerate; E_t is then carried forward from t - 1 (the std of the
     test decisions at t = 1). `error_fn(t, granules)`, when given, replaces
-    the second layer."""
+    the second layer. Step t seeds the SOM with `derive_seed(seed, 0, t)`
+    and the second layer with `derive_seed(seed, 1, t)`."""
     points: list[TrajectoryPoint] = []
     N = cfg.initial_N
     E, final_model = float(np.std(test.y)), None
     for t in range(1, cfg.iterations + 1):
         extra = extras[t - 1] if isinstance(extras, tuple) else extras
         dims = grid_dims(N)
-        grid = train_som(train, dims, cfg.som, _iter_seed(cfg.seed, t))
+        grid = train_som(train, dims, cfg.som, derive_seed(cfg.seed, 0, t))
         granules = extract_granules(grid, train)
         if error_fn is not None:
             fitted = float(error_fn(t, granules)), None
         else:
-            fitted = fit_eval(granules, extra, _iter_seed(cfg.seed, t, stream=1))
+            fitted = fit_eval(granules, extra, derive_seed(cfg.seed, 1, t))
         if fitted is not None:  # otherwise E carries forward
             E, final_model = fitted
         points.append(TrajectoryPoint(t, N, *dims, len(granules), E, extra))
@@ -225,12 +220,11 @@ def trajectory_report(traj: Trajectory) -> str:
     """JSON run report: the `LoopConfig` as it is, noise parameters, order
     metrics, and the final second-layer model when one was fitted."""
     model = traj.final_model
-    model_doc = None if model is None else json.loads(model.to_json())
     doc = {
         "config": asdict(traj.config),
         "noise": asdict(traj.params),
         "order_metrics": asdict(order_metrics(traj)),
-        "final_model": model_doc,
+        "final_model": None if model is None else model.to_dict(),
         "points": [asdict(pt) for pt in traj.points],
     }
     return json.dumps(doc, indent=2)

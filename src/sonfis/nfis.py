@@ -6,7 +6,6 @@ premises) on the crisp granules.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ class FuzzyRuleBase:
     def n_rules(self) -> int:
         return len(self.centers)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         rules = [
             {
                 "centers": list(map(float, c)),
@@ -51,7 +50,7 @@ class FuzzyRuleBase:
             }
             for c, s, a in zip(self.centers, self.widths, self.coeffs)
         ]
-        return json.dumps({"n_rules": self.n_rules, "rules": rules}, indent=2)
+        return {"n_rules": self.n_rules, "rules": rules}
 
 
 def _kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,18 +173,22 @@ def train_hybrid(fis: FuzzyRuleBase, granules: Dataset, params: NfisTrainParams)
     """Per epoch: exact least squares for the consequents, then one gradient
     step on the premise centers and widths (widths re-floored at 0.01). Both
     use the epoch's one set of firing strengths, since the consequents do
-    not enter them. Returns a new rule base; the input is untouched."""
+    not enter them. Returns a new rule base; the input is untouched. An
+    overflowing or invalid operation, such as a premise step so large that
+    the next epoch's firing strengths overflow, raises FloatingPointError
+    rather than hand non-finite values to the least-squares solver."""
     if len(granules) == 0:
         raise ValueError("empty granule set")
     X, t = granules.X, granules.y
     out = FuzzyRuleBase(fis.centers.copy(), fis.widths.copy(), fis.coeffs.copy())
     lr = params.premise_learning_rate
-    for _ in range(params.epochs):
-        w = _firing(out, X)
-        out.coeffs = _solve_consequents(out, X, t, w)
-        gc, gs = _premise_gradients(out, X, t, w)
-        out.centers = out.centers - lr * gc
-        out.widths = np.maximum(out.widths - lr * gs, WIDTH_FLOOR_TRAIN)
+    with np.errstate(over="raise", invalid="raise"):
+        for _ in range(params.epochs):
+            w = _firing(out, X)
+            out.coeffs = _solve_consequents(out, X, t, w)
+            gc, gs = _premise_gradients(out, X, t, w)
+            out.centers = out.centers - lr * gc
+            out.widths = np.maximum(out.widths - lr * gs, WIDTH_FLOOR_TRAIN)
     return out
 
 

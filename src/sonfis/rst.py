@@ -6,13 +6,12 @@ resulting classifier with its MSE performance measure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .dataset import Dataset
+from .dataset import Dataset, derive_seed
 from .som import SomParams, train_column_soms, train_som  # noqa: F401
 
 # `train_som` is imported only so that `rst.train_som` still resolves:
@@ -80,35 +79,27 @@ class RuleSet:
     def __len__(self) -> int:
         return len(self.decisions)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "default_decision": self.default_decision,
-                "rules": [
-                    {
-                        "descriptors": list(map(int, d)),
-                        "decision": int(c),
-                        "support": int(n),
-                        "certain": bool(k),
-                    }
-                    for d, c, n, k in zip(self.descriptors, self.decisions, self.support, self.certain)
-                ],
-            },
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "default_decision": self.default_decision,
+            "rules": [
+                {"descriptors": list(map(int, d)), "decision": int(c), "support": int(n), "certain": bool(k)}
+                for d, c, n, k in zip(self.descriptors, self.decisions, self.support, self.certain)
+            ],
+        }
 
 
 def fit_scaling(train: Dataset, bins: int, seed: int) -> ScalingMap:
     """Learn per-attribute bin codebooks with 1-D batch SOMs (dims (1, bins))
     over each attribute's scalar values, decision included, trained
     together, then sort each codebook ascending. Attribute j's SOM is seeded
-    from `SeedSequence([seed, j])`. The first attribute, in column order,
+    with `derive_seed(seed, j)`. The first attribute, in column order,
     that is constant or whose codebook has a repeated center raises
     ScalingError."""
     if bins < 2:
         raise ScalingError("bins must be >= 2")
     values = np.column_stack([train.X, train.y])
-    seeds = [int(np.random.SeedSequence([seed, j]).generate_state(1)[0]) for j in range(values.shape[1])]
+    seeds = [derive_seed(seed, j) for j in range(values.shape[1])]
     codebooks = np.sort(train_column_soms(values, bins, SCALING_SOM, seeds), axis=1)
     for name, col, cb in zip(train.attribute_names, values.T, codebooks):
         if col.max() <= col.min():
@@ -190,21 +181,20 @@ def classify_rows(rules: RuleSet, X) -> np.ndarray:
     Hamming distance (ties toward larger support, then higher decision, then
     the earlier rule); an empty rule set yields the default."""
     patterns = rules.scaling.discretize_inputs(X)
-    if not len(rules):
+    r = len(rules)
+    if not r:
         return np.full(len(patterns), rules.default_decision, dtype=np.int64)
     descriptors = rules.descriptors
-    dist = np.zeros((len(patterns), len(descriptors)), dtype=np.int64)
+    dist = np.zeros((len(patterns), r), dtype=np.int64)
     for j in range(descriptors.shape[1]):
         dist += patterns[:, j, None] != descriptors[None, :, j]
-    nearest = dist.min(axis=1)
-    best = dist == nearest[:, None]  # argmax below takes the first candidate
-    inexact = nearest > 0
-    candidates = best[inexact]
-    for key in (rules.support, rules.decisions):
-        keyed = np.where(candidates, key, np.iinfo(np.int64).min)
-        candidates &= keyed == keyed.max(axis=1, keepdims=True)
-    best[inexact] = candidates
-    return rules.decisions[best.argmax(axis=1)]
+    # Each rule's priority among equally near ones; lexsort is stable, so
+    # rule order breaks the last tie. An exact match keys by rule order
+    # alone, below every inexact key dist * r + rank >= r.
+    rank = np.empty(r, dtype=np.int64)
+    rank[np.lexsort((-rules.decisions, -rules.support))] = np.arange(r)
+    key = np.where(dist == 0, np.arange(r), dist * r + rank)
+    return rules.decisions[key.argmin(axis=1)]
 
 
 def classify(rules: RuleSet, x) -> int:

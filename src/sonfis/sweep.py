@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError, check_field, check_fields, field_error, read_csv
+from .dataset import Dataset, DatasetError, check_field, check_fields, derive_seed, field_error, read_csv
 from .dynamics import LoopConfig, NoiseParams, OrderMetrics, order_metrics, run_sonfis, run_sorst_as
 
 # The sweep CSV's columns, in order, each with the type `load_csv_rows`
@@ -89,13 +89,7 @@ class CellResult:
 
 @dataclass
 class SweepResult:
-    spec: SweepSpec
     cells: list[CellResult]
-
-
-def _cell_seed(base: int, cell_index: int, repeat: int) -> int:
-    """Pure function of the indices so cells can run in any order."""
-    return int(np.random.SeedSequence([base, cell_index, repeat]).generate_state(1)[0])
 
 
 def _run_task(state, cell_index: int, rep: int):
@@ -105,7 +99,7 @@ def _run_task(state, cell_index: int, rep: int):
     spec, train, test, error_fn, keep = state
     alpha, beta, gamma, extra = spec.grid[cell_index]
     p = NoiseParams(alpha, beta, gamma)
-    seed = _cell_seed(spec.base_config.seed, cell_index, rep)
+    seed = derive_seed(spec.base_config.seed, cell_index, rep)
     try:
         if spec.system == "sonfis":
             cfg, run = replace(spec.base_config, n_rules=extra, seed=seed), run_sonfis
@@ -136,9 +130,10 @@ def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
     raised, and no later repeat of it runs. `error_fn` is the
     constant-error stub hook passed down to the dynamics loop.
 
-    Each (cell, repeat) is one task, seeded by `_cell_seed` alone, so the
-    result is the same for any `workers` (default: one per CPU this process
-    may run on; capped at the task count). With more than one worker the
+    Each (cell, repeat) is one task, seeded by `derive_seed(seed, cell
+    index, repeat)` alone, so the result is the same for any `workers`
+    (default: one per CPU this process may run on; capped at the task
+    count). With more than one worker the
     tasks run in a pool of forked processes, which inherit the inputs and
     `error_fn` rather than receive them pickled, so a lambda stub works; at
     most two tasks per worker are in flight. The pool forks every worker
@@ -193,7 +188,7 @@ def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
         error = outputs[cell_index, first_failed[cell_index]][2] if failed else None
         trajs = [traj for _, traj, _ in runs] if keep_trajectories else None
         cells.append(CellResult(alpha, beta, gamma, extra, [m for m, _, _ in runs], error, trajs))
-    return SweepResult(spec, cells)
+    return SweepResult(cells)
 
 
 def cell_key(cell: CellResult, repeat: int) -> dict:
@@ -211,11 +206,6 @@ def result_rows(result: SweepResult) -> list[dict]:
             values = {**cell_key(cell, rep), **asdict(m)}
             rows.append({col: values[col] for col in CSV_HEADER})
     return rows
-
-
-def transition_profile(result: SweepResult, axis: str) -> dict:
-    """`profile_from_rows` over the rows of an in-memory sweep result."""
-    return profile_from_rows(result_rows(result), axis)
 
 
 def export_csv(result: SweepResult, path) -> None:

@@ -449,6 +449,26 @@ class TestExecute:
         assert execute(["run-sonfis", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {cfg}: cannot decode")
 
+    def test_byte_order_mark_config_and_sweep_csv_read_as_plain(self, tmp_path, capsys):
+        plain = write_config(tmp_path, SMALL)
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_config(bom) == load_config(plain)
+        rows = SWEEP_CSV_HEADER + "0.7,0.001,0.5,2,0,12.0,1.0,0.2,laminar\n0.9,0.001,0.5,2,0,30.0,4.0,0.2,transition\n"
+        outputs = []
+        for name, prefix in (("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")):
+            (tmp_path / name).write_bytes(prefix + rows.encode())
+            assert execute(["report", "--sweep-csv", str(tmp_path / name)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_overflowing_learning_rate_exits_1_with_one_line(self, tmp_path, capfd):
+        # capfd, not capsys: LAPACK writes its own complaints to file descriptor 2.
+        cfg = write_config(tmp_path, dict(SMALL, nfis={"epochs": 3, "premise_learning_rate": 1e308}))
+        assert execute(["run-sonfis", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("runtime error: FloatingPointError: overflow")
+
     @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--noise", "-1"), ("--noise", "nan"),
                                              ("--noise", "inf"), ("--seed", "-1"), ("--n", "10000000000"),
                                              ("--n", "1000001")])

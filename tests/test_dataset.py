@@ -90,6 +90,15 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="duplicate column names"):
             load_csv(p, "y")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM.
+        plain = load_csv(write(tmp_path, "a,b,q\n1,2,3\n4,5,6\n", "plain.csv"), "q")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + b"a,b,q\n1,2,3\n4,5,6\n")
+        ds = load_csv(bom, "q")
+        assert np.array_equal(ds.X, plain.X) and np.array_equal(ds.y, plain.y)
+        assert ds.attribute_names == plain.attribute_names == ["a", "b", "q"]
+
 
 class TestNormalize:
     def test_affine_map(self):

@@ -267,6 +267,14 @@ class TestTrainHybrid:
         fis = train_hybrid(init_rulebase(gs, 2, seed=0), gs, NfisTrainParams(epochs=1))
         assert np.abs(predict(fis, gs.X) - gs.y).max() < 1e-9
 
+    def test_overflowing_premise_step_raises(self):
+        # A step of 1e308 throws the centers so far that the next epoch's
+        # firing strengths overflow; the non-finite values never reach lstsq.
+        rng = np.random.default_rng(7)
+        gs = Dataset(rng.random((30, 2)), rng.random(30))
+        with pytest.raises(FloatingPointError, match="overflow"):
+            train_hybrid(init_rulebase(gs, 2, seed=0), gs, NfisTrainParams(epochs=3, premise_learning_rate=1e308))
+
 
 class TestPremiseGradients:
     def numerical(self, fis, X, t, eps=1e-6):
@@ -379,9 +387,7 @@ class TestRmse:
 
 
 def test_rulebase_json_round_trip():
-    import json
-
     fis = FuzzyRuleBase(np.array([[0.1, 0.2]]), np.array([[0.5, 0.6]]), np.array([[1.0, 2.0, 3.0]]))
-    doc = json.loads(fis.to_json())
+    doc = fis.to_dict()
     assert doc["n_rules"] == 1
     assert doc["rules"][0]["consequent"] == [1.0, 2.0, 3.0]

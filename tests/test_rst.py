@@ -469,10 +469,8 @@ class TestMse:
 
 
 def test_rules_serialization(t0, t0_scaling):
-    import json
-
     rules = induce_rules(t0, t0_scaling)
-    doc = json.loads(rules.to_json())
+    doc = rules.to_dict()
     assert len(doc["rules"]) == 2
     assert doc["rules"][0] == {"descriptors": [0], "decision": 0, "support": 2, "certain": True}
     assert doc["rules"][1] == {"descriptors": [1], "decision": 1, "support": 2, "certain": False}

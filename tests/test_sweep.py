@@ -4,18 +4,16 @@ import time
 import numpy as np
 import pytest
 
-from sonfis.dataset import SplitSpec, gen_synthetic, min_max_normalize, split
+from sonfis.dataset import SplitSpec, derive_seed, gen_synthetic, min_max_normalize, split
 from sonfis.dynamics import LoopConfig
 from sonfis.som import SomParams
 from sonfis.sweep import (
     SweepSpec,
-    _cell_seed,
     export_csv,
     load_csv_rows,
     profile_from_rows,
     result_rows,
     run_sweep,
-    transition_profile,
 )
 
 
@@ -103,7 +101,7 @@ class TestWorkers:
         import sonfis.sweep as sweep_mod
 
         spec = stub_spec(alphas=(0.7, 0.9), repeats=3)
-        failing_seed = _cell_seed(spec.base_config.seed, 0, 1)
+        failing_seed = derive_seed(spec.base_config.seed, 0, 1)
         real = sweep_mod.run_sonfis
 
         def run_sonfis(train, test, cfg, p, error_fn=None):
@@ -150,7 +148,7 @@ class TestTransitionProfile:
 
     def test_locus_at_largest_std_jump(self, tiny_data):
         result = self.run_stub(tiny_data, (0.7, 0.8, 0.9, 0.95))
-        profile = transition_profile(result, "alpha")
+        profile = profile_from_rows(result_rows(result), "alpha")
         stds = [row["std_NG"] for row in profile["profile"]]
         jumps = np.diff(stds)
         expected_locus = (0.7, 0.8, 0.9, 0.95)[int(np.argmax(jumps)) + 1]
@@ -159,7 +157,7 @@ class TestTransitionProfile:
     def test_unknown_axis(self, tiny_data):
         result = self.run_stub(tiny_data, (0.8,))
         with pytest.raises(ValueError, match="unknown axis"):
-            transition_profile(result, "delta")
+            profile_from_rows(result_rows(result), "delta")
 
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError, match="no sweep rows"):
@@ -182,7 +180,7 @@ class TestTransitionProfile:
             CellResult(a, 0.0, 0.5, 2, [OrderMetrics(10.0, s, 1, 20, 0.1, "transition")])
             for a, s in zip(spec.alphas, (1.0, 1.0, 5.0, 5.0))
         ]
-        profile = transition_profile(SweepResult(spec, cells), "alpha")
+        profile = profile_from_rows(result_rows(SweepResult(cells)), "alpha")
         assert profile["transition_locus"] == 0.3
         assert not profile["weak"]
 
@@ -196,7 +194,7 @@ class TestTransitionProfile:
             CellResult(a, 0.0, 0.5, 2, [OrderMetrics(10.0, 2.0, 1, 20, 0.1, "transition")])
             for a in spec.alphas
         ]
-        profile = transition_profile(SweepResult(spec, cells), "alpha")
+        profile = profile_from_rows(result_rows(SweepResult(cells)), "alpha")
         assert profile["weak"]
 
     def test_all_zero_stds_are_a_weak_locus(self):
@@ -218,7 +216,7 @@ class TestTransitionProfile:
             for a, s in ((0.1, 1.0), (0.3, 1.1), (0.4, 5.0))
         ]
         cells.insert(1, CellResult(0.2, 0.0, 0.5, 2, [], error="RuntimeError: boom"))
-        profile = transition_profile(SweepResult(spec, cells), "alpha")
+        profile = profile_from_rows(result_rows(SweepResult(cells)), "alpha")
         assert [row["value"] for row in profile["profile"]] == [0.1, 0.3, 0.4]
         assert profile["transition_locus"] == 0.4
         assert not profile["weak"]
@@ -235,7 +233,7 @@ class TestTransitionProfile:
             CellResult(a, 0.0, 0.5, 2, [OrderMetrics(10.0, s, 1, 20, 0.1, "transition")])
             for a, s in zip(spec.alphas, (5.0, 1.0, 1.0))
         ]
-        profile = transition_profile(SweepResult(spec, cells), "alpha")
+        profile = profile_from_rows(result_rows(SweepResult(cells)), "alpha")
         assert [row["value"] for row in profile["profile"]] == [0.1, 0.2, 0.3]
         assert profile["transition_locus"] == 0.3
 
@@ -258,7 +256,7 @@ class TestExportCsv:
         path = tmp_path / "sweep.csv"
         export_csv(result, path)
         rows = load_csv_rows(path)
-        assert profile_from_rows(rows, "alpha") == transition_profile(result, "alpha")
+        assert profile_from_rows(rows, "alpha") == profile_from_rows(result_rows(result), "alpha")
 
     def test_load_returns_the_exported_rows(self, tiny_data, tmp_path):
         train, test = tiny_data
