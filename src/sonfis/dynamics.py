@@ -21,7 +21,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from . import nfis, rst
+from . import kernels, nfis, rst
 from .dataset import Dataset, check_field, check_fields, derive_seed
 from .nfis import NfisTrainParams
 from .som import MAX_NEURONS, SomParams, extract_granules, grid_dims, train_som
@@ -118,39 +118,94 @@ class OrderMetrics:
 
 
 def update_neuron_count(N_t: int, E_t: float, p: NoiseParams, n_min: int, n_max: int) -> int:
-    """One step of the neuron-growth law, clamped and floored."""
+    """One step of the neuron-growth law, clamped and floored. The loop
+    calls it once per step; its segment planner calls `_law`."""
+    return _law(N_t, E_t, p, n_min, n_max)
+
+
+def _law(N_t: int, E_t: float, p: NoiseParams, n_min: int, n_max: int) -> int:
     raw = p.alpha * N_t + p.beta * E_t + p.gamma
     return math.floor(min(max(raw, n_min), n_max))
 
 
+def _segment(t: int, N: int, cfg: LoopConfig, p: NoiseParams, extra_of, e_max: float,
+             width: int) -> list[tuple[int, int]]:
+    """The steps (t, N_t) of the segment that starts at step t with N
+    neurons: step t, then each step after an open one, through the first
+    step that is not open. A step is open when the law gives the same
+    N_{t+1} at E = 0 and at E = `e_max`. Every E_t lies in [0, e_max], and
+    the law is monotone in E (beta >= 0, and each rounding is monotone),
+    so no fit could change N_{t+1}. The steps' `width * N_t * extra_of(t)`
+    (SORST-AS's stacked scaling search) add up to at most
+    `kernels.BLOCK_ELEMENTS`, or the segment is step t alone."""
+    plan, size = [], 0
+    while t <= cfg.iterations:
+        size += width * N * extra_of(t)
+        if plan and size > kernels.BLOCK_ELEMENTS:
+            break
+        plan.append((t, N))
+        N_next = _law(N, 0.0, p, cfg.n_min, cfg.n_max)
+        if N_next != _law(N, e_max, p, cfg.n_min, cfg.n_max):
+            break
+        t, N = t + 1, N_next
+    return plan
+
+
 def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
-              extras: int | tuple[int, ...], fit_eval, error_fn) -> Trajectory:
+              extras: int | tuple[int, ...], fit_segment, error_fn, e_max: float | None = None) -> Trajectory:
     """The close-open loop both systems share. Step t granulates `train`
     with a SOM of N_t neurons, measures E_t and applies the update law.
     The granules are a Dataset, one record per live neuron
-    (`som.extract_granules`). `fit_eval(granules, extra, seed)` fits the
-    second layer with the step's entry of `extras` (one count, or a tuple
-    of one per step) and returns (E_t, model), or None when the granules
-    are degenerate; E_t is then carried forward from t - 1 (the std of the
-    test decisions at t = 1). `error_fn(t, granules)`, when given, replaces
-    the second layer. Step t seeds the SOM with `derive_seed(seed, 0, t)`
-    and the second layer with `derive_seed(seed, 1, t)`."""
+    (`som.extract_granules`). `fit_segment(steps)` fits the second layer
+    on a list of steps, each `(t, granules, extra, seed)` with the step's
+    entry of `extras` (one count, or a tuple of one per step), and returns
+    per step (E_t, model), or None when the granules are degenerate; E_t
+    is then carried forward from t - 1 (the std of the test decisions at
+    t = 1). `error_fn(t, granules)`, when given, replaces the second
+    layer. Step t seeds the SOM with `derive_seed(seed, 0, t)` and the
+    second layer with `derive_seed(seed, 1, t)`.
+
+    `e_max`, when given, bounds every E_t. The loop then runs one
+    `_segment` at a time: its N series is known before any fit, so all its
+    SOMs train first, then one `fit_segment` call fits them all, then the
+    steps record their points and apply the law in order. A segment that
+    raises runs again one step at a time, so the exception the
+    step-by-step loop meets escapes. Without `e_max`, or with `error_fn`
+    (no bound), every segment is one step."""
+    if error_fn is not None:
+        e_max = None
+        def fit_segment(steps):
+            return [(float(error_fn(t, granules)), None) for t, granules, _, _ in steps]
+
+    def extra_of(t):
+        return extras[t - 1] if isinstance(extras, tuple) else extras
+
     points: list[TrajectoryPoint] = []
-    N = cfg.initial_N
+    t, N = 1, cfg.initial_N
     E, final_model = float(np.std(test.y)), None
-    for t in range(1, cfg.iterations + 1):
-        extra = extras[t - 1] if isinstance(extras, tuple) else extras
-        dims = grid_dims(N)
-        grid = train_som(train, dims, cfg.som, derive_seed(cfg.seed, 0, t))
-        granules = extract_granules(grid, train)
-        if error_fn is not None:
-            fitted = float(error_fn(t, granules)), None
+    alone_through = 0  # the last step of a segment that raised
+    while t <= cfg.iterations:
+        if e_max is None or t <= alone_through:
+            plan = [(t, N)]
         else:
-            fitted = fit_eval(granules, extra, derive_seed(cfg.seed, 1, t))
-        if fitted is not None:  # otherwise E carries forward
-            E, final_model = fitted
-        points.append(TrajectoryPoint(t, N, *dims, len(granules), E, extra))
-        N = update_neuron_count(N, E, p, cfg.n_min, cfg.n_max)
+            plan = _segment(t, N, cfg, p, extra_of, e_max, train.X.shape[1] + 1)
+        try:
+            steps = []
+            for t_k, N_k in plan:
+                grid = train_som(train, grid_dims(N_k), cfg.som, derive_seed(cfg.seed, 0, t_k))
+                steps.append((t_k, extract_granules(grid, train), extra_of(t_k), derive_seed(cfg.seed, 1, t_k)))
+            fits = fit_segment(steps)
+        except Exception:  # any error: the step-by-step run raises it again, at its own step
+            if len(plan) == 1:
+                raise
+            alone_through = plan[-1][0]
+            continue
+        for (t_k, granules, extra, _), fitted in zip(steps, fits):
+            if fitted is not None:  # otherwise E carries forward
+                E, final_model = fitted
+            points.append(TrajectoryPoint(t_k, N, *grid_dims(N), len(granules), E, extra))
+            N = update_neuron_count(N, E, p, cfg.n_min, cfg.n_max)
+        t = plan[-1][0] + 1
     return Trajectory(points, cfg, p, final_model)
 
 
@@ -171,7 +226,10 @@ def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
         fis = nfis.train_hybrid(fis, granules, cfg.nfis)
         return nfis.rmse(fis, test, train.y.min(), train.y.max()), fis
 
-    return _run_loop(train, test, cfg, p, cfg.n_rules, fit_eval, error_fn)
+    def fit_segment(steps):
+        return [fit_eval(granules, n_rules, seed) for _, granules, n_rules, seed in steps]
+
+    return _run_loop(train, test, cfg, p, cfg.n_rules, fit_segment, error_fn)
 
 
 def run_sorst_as(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
@@ -179,16 +237,29 @@ def run_sorst_as(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     """Close-open loop with the rough second layer: granules are discretized
     by per-attribute 1-D SOM scaling with the step's bin count from
     `cfg.bins`, rules are induced, and E_t is the classifier MSE on the test
-    data. `error_fn` is the hook of `run_sonfis`."""
-    def fit_eval(granules, bins, seed):
-        try:
-            scaling = rst.fit_scaling(granules, bins, seed=seed)
-        except rst.ScalingError:  # constant attribute or collapsed codebook
+    data. `error_fn` is the hook of `run_sonfis`.
+
+    The label MSE is at most (bins - 1)**2, and the carried start is
+    std(test.y), so E_t <= max(std(test.y), (max bins - 1)**2): with that
+    bound the loop fits a segment's scaling SOMs as one stack per bin
+    count (`rst.fit_scaling_stack`), then induces and scores each step's
+    rules."""
+    def fit_rules(granules, scaling):
+        if isinstance(scaling, rst.ScalingError):  # constant attribute or collapsed codebook
             return None
         rules = rst.induce_rules(rst.apply_scaling(scaling, granules), scaling)
         return rst.mse(rules, test), rules
 
-    return _run_loop(train, test, cfg, p, cfg.bins, fit_eval, error_fn)
+    def fit_segment(steps):
+        scalings = {}
+        for bins in dict.fromkeys(extra for _, _, extra, _ in steps):
+            ts, tables, seeds = zip(*[(t, g, seed) for t, g, extra, seed in steps if extra == bins])
+            scalings.update(zip(ts, rst.fit_scaling_stack(tables, bins, seeds)))
+        return [fit_rules(granules, scalings[t]) for t, granules, _, _ in steps]
+
+    bins = cfg.bins if isinstance(cfg.bins, tuple) else (cfg.bins,)
+    e_max = max(float(np.std(test.y)), float((max(bins) - 1) ** 2))
+    return _run_loop(train, test, cfg, p, cfg.bins, fit_segment, error_fn, e_max)
 
 
 LAMINAR_CV = 0.05

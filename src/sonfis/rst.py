@@ -22,6 +22,9 @@ class ScalingError(ValueError):
     pass
 
 
+_KEY_LIMIT = np.iinfo(np.int64).max  # `_classes` keeps each key and radix within it
+
+
 # The scaling SOMs' schedule. A tight final radius makes each codebook end
 # close to k-means cluster means, not smoothed toward its neighbors.
 SCALING_SOM = SomParams(epochs=30, final_radius=0.2)
@@ -81,6 +84,8 @@ class RuleSet:
 
     def to_dict(self) -> dict:
         return {
+            "scaling": {"input_codebooks": self.scaling.input_codebooks.tolist(),
+                        "decision_codebook": self.scaling.decision_codebook.tolist()},
             "default_decision": self.default_decision,
             "rules": [
                 {"descriptors": list(map(int, d)), "decision": int(c), "support": int(n), "certain": bool(k)}
@@ -96,16 +101,37 @@ def fit_scaling(train: Dataset, bins: int, seed: int) -> ScalingMap:
     with `derive_seed(seed, j)`. The first attribute, in column order,
     that is constant or whose codebook has a repeated center raises
     ScalingError."""
+    (scaling,) = fit_scaling_stack([train], bins, [seed])
+    if isinstance(scaling, ScalingError):
+        raise scaling
+    return scaling
+
+
+def fit_scaling_stack(tables, bins: int, seeds) -> list[ScalingMap | ScalingError]:
+    """`fit_scaling` of each of `tables` with its entry of `seeds`, every
+    table's scaling SOMs trained as one stack. Returns, per table, the
+    ScalingMap its own call returns or the ScalingError it raises."""
     if bins < 2:
         raise ScalingError("bins must be >= 2")
-    values = np.column_stack([train.X, train.y])
-    seeds = [derive_seed(seed, j) for j in range(values.shape[1])]
-    codebooks = np.sort(train_column_soms(values, bins, SCALING_SOM, seeds), axis=1)
-    for name, col, cb in zip(train.attribute_names, values.T, codebooks):
+    columns = [col for ds in tables for col in (*ds.X.T, ds.y)]
+    col_seeds = [derive_seed(seed, j) for ds, seed in zip(tables, seeds) for j in range(ds.X.shape[1] + 1)]
+    codebooks = np.sort(train_column_soms(columns, bins, SCALING_SOM, col_seeds), axis=1)
+    out, start = [], 0
+    for ds in tables:
+        stop = start + ds.X.shape[1] + 1
+        out.append(_scaling_map(ds, codebooks[start:stop]))
+        start = stop
+    return out
+
+
+def _scaling_map(ds: Dataset, codebooks: np.ndarray) -> ScalingMap | ScalingError:
+    """The ScalingMap of `ds`'s sorted codebooks, inputs then decision, or
+    the ScalingError of its first failing attribute."""
+    for name, col, cb in zip(ds.attribute_names, (*ds.X.T, ds.y), codebooks):
         if col.max() <= col.min():
-            raise ScalingError(f"constant attribute {name!r}")
+            return ScalingError(f"constant attribute {name!r}")
         if not (np.diff(cb) > 0).all():
-            raise ScalingError(f"degenerate codebook for attribute {name!r}")
+            return ScalingError(f"degenerate codebook for attribute {name!r}")
     return ScalingMap(codebooks[:-1], codebooks[-1])
 
 
@@ -117,12 +143,30 @@ def apply_scaling(scaling: ScalingMap, ds: Dataset) -> DecisionTable:
 def _classes(table: DecisionTable, attrs) -> tuple[np.ndarray, np.ndarray]:
     """The indiscernibility classes over `attrs`, numbered in order of first
     occurrence: each object's class label, and each class's first object.
-    An empty subset yields one class holding every object."""
-    _, first, inverse = np.unique(
-        table.conditions[:, sorted(attrs)], axis=0, return_index=True, return_inverse=True
-    )
+    An empty subset yields one class holding every object.
+
+    Each row is keyed by one int64, its labels on `attrs` read as the
+    digits of a mixed-radix number (radix: a column's label range). When
+    the next digit could overflow the key, the partial key is first
+    renumbered densely, which keeps it below the row count; a column whose
+    labels alone span most of int64 is renumbered too."""
+    cols = table.conditions[:, sorted(attrs)]
+    if not len(cols):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    key, span = np.zeros(len(cols), dtype=np.int64), 1  # 0 <= key < span
+    for col, lo, hi in zip(cols.T, cols.min(axis=0).tolist(), cols.max(axis=0).tolist()):
+        radix = hi - lo + 1
+        if span * radix > _KEY_LIMIT:
+            uniq, key = np.unique(key, return_inverse=True)
+            span = len(uniq)
+            if span * radix > _KEY_LIMIT:
+                uniq, col = np.unique(col, return_inverse=True)
+                lo, radix = 0, len(uniq)
+        key = key * radix + (col - lo)
+        span *= radix
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first))
-    return rank[inverse.reshape(-1)], np.sort(first)
+    return rank[inverse], np.sort(first)
 
 
 def _value_range(values: np.ndarray, labels: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -123,23 +123,24 @@ def train_som(train: Dataset, dims: tuple[int, int], params: SomParams, seed: in
     return SomGrid(n1, n2, protos)
 
 
-def train_column_soms(data: np.ndarray, units: int, params: SomParams, seeds) -> np.ndarray:
-    """One 1-D SOM of dims (1, `units`) per column of `data` (n, c), all
-    trained together; column j seeded by `seeds[j]`. Returns the (c, units)
-    prototypes: row j equals, bit for bit, the prototypes of `train_som`
-    on column j alone."""
-    n, c = data.shape
-    if n == 0:
+def train_column_soms(columns, units: int, params: SomParams, seeds) -> np.ndarray:
+    """One 1-D SOM of dims (1, `units`) per 1-D array in `columns`, which
+    may differ in length, all trained together; column j seeded by
+    `seeds[j]`. Returns the (c, units) prototypes: row j equals, bit for
+    bit, the prototypes of `train_som` on column j alone."""
+    if any(len(col) == 0 for col in columns):
         raise ValueError("cannot train a SOM on an empty dataset")
-    cols = np.ascontiguousarray(data.T, dtype=np.float64)  # (c, n)
-    protos = np.stack([_initial_prototypes(np.unique(col[:, None], axis=0), units, seed)
-                       for col, seed in zip(cols, seeds)])  # (c, units, 1)
-    offsets = np.arange(c)[:, None] * units
-    values = cols.reshape(c * n, 1)
+    c = len(columns)
+    protos = np.stack([_initial_prototypes(np.unique(col)[:, None], units, seed)
+                       for col, seed in zip(columns, seeds)])  # (c, units, 1)
+    values = np.concatenate(columns).astype(np.float64, copy=False)[:, None]  # (L, 1)
+    owner = np.repeat(np.arange(c), [len(col) for col in columns])
+    offsets = owner * units
     for H in _neighbourhoods(1, units, params):
-        # Slot j*units + bmu over the values column by column: each slot sums
-        # its records in record order, as train_som does for one column.
-        slots = (kernels.assign_exact(cols[:, :, None], protos) + offsets).ravel()
+        # Each value is a stack member searched among its own SOM's units.
+        # Slot owner*units + bmu sums its records in record order, as
+        # train_som does for one column.
+        slots = kernels.assign_exact(values[:, None], np.take(protos, owner, axis=0))[:, 0] + offsets
         sums, counts = kernels.accumulate_by_bmu(values, slots, c * units)
         kernels.move_prototypes(protos, H, sums.reshape(c, units, 1), counts.reshape(c, units))
     return protos[:, :, 0]

@@ -9,6 +9,7 @@ import csv
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -57,9 +58,11 @@ class SweepSpec:
             raise field_error("burn_in", f"must be < iterations ({self.base_config.iterations}), "
                                          f"got {self.burn_in}")
 
-    @property
-    def grid(self) -> list[tuple[float, float, float, int]]:
-        return list(product(self.alphas, self.betas, self.gammas, self.extras))
+    @cached_property
+    def grid(self) -> tuple[tuple[float, float, float, int], ...]:
+        """The (alpha, beta, gamma, extra) cells in sweep order, built once:
+        every task reads its cell from it."""
+        return tuple(product(self.alphas, self.betas, self.gammas, self.extras))
 
 
 @dataclass

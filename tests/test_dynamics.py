@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sonfis.dataset import Dataset, SplitSpec, gen_synthetic, min_max_normalize, split
+from sonfis import dynamics, kernels, rst
+from sonfis.dataset import Dataset, SplitSpec, derive_seed, gen_synthetic, min_max_normalize, split
 from sonfis.dynamics import (
     LoopConfig,
     NoiseParams,
@@ -16,7 +19,7 @@ from sonfis.dynamics import (
     trajectory_report,
     update_neuron_count,
 )
-from sonfis.som import SomParams
+from sonfis.som import SomParams, extract_granules, grid_dims, train_som
 
 
 def direct_iteration(N0, E, p, n_min, n_max, steps):
@@ -181,6 +184,161 @@ class TestRunSorstAs:
         t1 = run_sorst_as(train, test, cfg, p)
         t2 = run_sorst_as(train, test, cfg, p)
         assert t1.points == t2.points
+
+
+def stepwise_sorst(train, test, cfg, p, error_fn=None):
+    """SORST-AS one step at a time through the layers' own calls, as the
+    loop ran before segments: the reference for `run_sorst_as`. Returns
+    the points, the last rule set and the number of ScalingErrors met."""
+    points, N = [], cfg.initial_N
+    E, model, failed = float(np.std(test.y)), None, 0
+    for t in range(1, cfg.iterations + 1):
+        bins = cfg.bins[t - 1] if isinstance(cfg.bins, tuple) else cfg.bins
+        dims = grid_dims(N)
+        granules = extract_granules(train_som(train, dims, cfg.som, derive_seed(cfg.seed, 0, t)), train)
+        if error_fn is not None:
+            E = float(error_fn(t, granules))
+        else:
+            try:
+                scaling = rst.fit_scaling(granules, bins, derive_seed(cfg.seed, 1, t))
+            except rst.ScalingError:
+                failed += 1
+            else:
+                model = rst.induce_rules(rst.apply_scaling(scaling, granules), scaling)
+                E = rst.mse(model, test)
+        points.append(TrajectoryPoint(t, N, *dims, len(granules), E, bins))
+        N = update_neuron_count(N, E, p, cfg.n_min, cfg.n_max)
+    return points, model, failed
+
+
+@pytest.fixture
+def stack_sizes(monkeypatch):
+    """The number of tables in each `rst.fit_scaling_stack` call."""
+    sizes = []
+    stack = rst.fit_scaling_stack
+
+    def counted(tables, bins, seeds):
+        sizes.append(len(tables))
+        return stack(tables, bins, seeds)
+
+    monkeypatch.setattr(rst, "fit_scaling_stack", counted)
+    return sizes
+
+
+class TestSegments:
+    """`run_sorst_as` fits the steps of a certified-open segment together,
+    and gives the points and final rules of the step-by-step loop."""
+
+    SOM = SomParams(epochs=3)
+
+    def check(self, small_data, cfg, p, error_fn=None, stack_sizes=None):
+        """The loop's trajectory, once it equals the reference's, and the
+        reference's ScalingError count; `stack_sizes` keeps only the
+        loop's stacks."""
+        train, test = small_data
+        points, model, failed = stepwise_sorst(train, test, cfg, p, error_fn)
+        if stack_sizes is not None:
+            stack_sizes.clear()
+        traj = run_sorst_as(train, test, cfg, p, error_fn=error_fn)
+        assert traj.points == points
+        if model is None:
+            assert traj.final_model is None
+        else:
+            assert traj.final_model.to_dict() == model.to_dict()
+        return traj, failed
+
+    def test_default_beta_is_one_segment(self, small_data, stack_sizes):
+        cfg = LoopConfig(iterations=20, initial_N=40, bins=3, seed=5, som=self.SOM)
+        self.check(small_data, cfg, NoiseParams(0.9, 0.001, 0.5), stack_sizes=stack_sizes)
+        assert stack_sizes == [20]
+
+    def test_unit_beta_runs_step_by_step(self, small_data, stack_sizes):
+        cfg = LoopConfig(iterations=12, initial_N=40, bins=3, seed=5, som=self.SOM)
+        self.check(small_data, cfg, NoiseParams(0.9, 1.0, 0.5), stack_sizes=stack_sizes)
+        assert stack_sizes == [1] * 12  # no step is open
+
+    def test_open_and_coupled_steps_mix(self, small_data, stack_sizes):
+        cfg = LoopConfig(iterations=20, initial_N=40, bins=3, seed=5, som=self.SOM)
+        self.check(small_data, cfg, NoiseParams(0.9, 0.05, 0.5), stack_sizes=stack_sizes)
+        assert stack_sizes == [2, 3, 4, 9, 1, 1]
+
+    def test_per_step_bins_stack_by_bin_count(self, small_data, stack_sizes):
+        bins = (2, 3, 5, 3, 2, 5, 4, 3, 2, 5)
+        cfg = LoopConfig(iterations=10, initial_N=40, bins=bins, seed=8, som=self.SOM)
+        self.check(small_data, cfg, NoiseParams(0.9, 0.001, 0.5), stack_sizes=stack_sizes)
+        assert stack_sizes == [3, 3, 3, 1]  # one segment: bin counts 2, 3, 5, then 4
+
+    def test_scaling_error_carries_within_a_segment(self, small_data, stack_sizes):
+        # N runs 10, 9, 8, 7, 6, 5, 5, 5: the 12-bin codebooks of steps 5
+        # and 6 collapse, and E carries across the two segments, steps 1-5
+        # and 6-8, each fitted as one stack per bin count.
+        bins = (3, 3, 12, 3, 12, 12, 3, 3)
+        cfg = LoopConfig(iterations=8, initial_N=10, n_min=4, bins=bins, seed=2, som=self.SOM)
+        assert self.check(small_data, cfg, NoiseParams(0.9, 0.001, 0.5), stack_sizes=stack_sizes)[1] == 2
+        assert stack_sizes == [3, 2, 1, 2]
+
+    def test_error_hook(self, small_data, stack_sizes):
+        cfg = LoopConfig(iterations=10, initial_N=40, bins=3, seed=5, som=self.SOM)
+        self.check(small_data, cfg, NoiseParams(0.9, 0.5, 0.5), error_fn=lambda t, g: len(g) / 10,
+                   stack_sizes=stack_sizes)
+        assert stack_sizes == []
+
+    def test_segments_hold_at_most_a_block(self, small_data, stack_sizes, monkeypatch):
+        # 4 values (3 inputs and the decision) per granule and 3 bins: a
+        # block of 600 elements holds the steps of at most 50 neurons.
+        monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 600)
+        cfg = LoopConfig(iterations=12, initial_N=70, bins=3, seed=5, som=self.SOM)
+        traj, _ = self.check(small_data, cfg, NoiseParams(0.9, 0.001, 0.5), stack_sizes=stack_sizes)
+        Ns = [pt.N for pt in traj.points]  # every step is open
+        assert stack_sizes[0] == 1 and sum(stack_sizes) == 12
+        start = 0
+        for size in stack_sizes:
+            assert size == 1 or 12 * sum(Ns[start:start + size]) <= 600
+            assert start + size == 12 or 12 * sum(Ns[start:start + size + 1]) > 600
+            start += size
+
+    def test_a_failing_stack_runs_again_step_by_step(self, small_data, stack_sizes, monkeypatch):
+        stack = rst.fit_scaling_stack
+
+        def only_one(tables, bins, seeds):
+            if len(tables) > 1:
+                raise MemoryError("stack too large")
+            return stack(tables, bins, seeds)
+
+        monkeypatch.setattr(rst, "fit_scaling_stack", only_one)
+        cfg = LoopConfig(iterations=10, initial_N=40, bins=3, seed=5, som=self.SOM)
+        self.check(small_data, cfg, NoiseParams(0.9, 0.001, 0.5), stack_sizes=stack_sizes)
+
+    def test_a_failing_step_raises_its_own_error(self, small_data, monkeypatch):
+        train, test = small_data
+        cfg = LoopConfig(iterations=10, initial_N=40, bins=3, seed=5, som=self.SOM)
+        seeds = {derive_seed(cfg.seed, 0, t): t for t in range(1, 11)}
+        trained = []
+
+        def failing_at_4(data, dims, params, seed):
+            trained.append(seeds[seed])
+            if seeds[seed] == 4:
+                raise ValueError("step 4")
+            return train_som(data, dims, params, seed)
+
+        monkeypatch.setattr(dynamics, "train_som", failing_at_4)
+        with pytest.raises(ValueError, match="^step 4$"):
+            run_sorst_as(train, test, cfg, NoiseParams(0.9, 0.001, 0.5))
+        assert trained == [1, 2, 3, 4, 1, 2, 3, 4]  # the segment, then step by step
+
+
+class TestOpenSteps:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0, 2), st.one_of(st.floats(0, 1e-3), st.floats(0, 10)), st.floats(-10, 10),
+           st.integers(1, 500), st.integers(2, 50), st.integers(50, 500), st.floats(0, 100), st.data())
+    def test_open_law_is_constant_up_to_the_bound(self, alpha, beta, gamma, N, n_min, n_max, e_max, data):
+        """A step whose law value is the same at E = 0 and at E = e_max has
+        that value at every E in between."""
+        p = NoiseParams(alpha, beta, gamma)
+        at_zero = update_neuron_count(N, 0.0, p, n_min, n_max)
+        assume(at_zero == update_neuron_count(N, e_max, p, n_min, n_max))
+        E = data.draw(st.floats(0, e_max))
+        assert update_neuron_count(N, E, p, n_min, n_max) == at_zero
 
 
 def make_traj(Ns, Es=None):

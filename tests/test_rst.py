@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,14 @@ from sonfis.rst import (
     RuleSet,
     ScalingError,
     ScalingMap,
+    _classes,
     apply_scaling,
     approximations,
     classify,
+    classify_rows,
     dependency_degree,
     fit_scaling,
+    fit_scaling_stack,
     indiscernibility_partition,
     induce_rules,
     mse,
@@ -134,6 +139,46 @@ class TestScalingParity:
         X = np.column_stack([rng.random(60), rng.integers(0, 2, 60), np.full(60, 0.5)])
         with pytest.raises(ScalingError, match="degenerate codebook for attribute 'x2'"):
             fit_scaling(Dataset(X, rng.random(60)), 5, seed=0)
+
+
+@st.composite
+def scaling_tables(draw):
+    """A table of 1-30 rows and 1-3 inputs whose values come from a few
+    levels, so that some attributes are constant or too coarse for the
+    bins and their fit fails."""
+    n, a, levels = draw(st.integers(1, 30)), draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    values = draw(st.lists(st.integers(0, levels - 1), min_size=n * (a + 1), max_size=n * (a + 1)))
+    grid = np.array(values, dtype=np.float64).reshape(n, a + 1) / levels
+    return Dataset(grid[:, :a], grid[:, a])
+
+
+def scaling_outcome(fit):
+    """A fit's codebooks as bytes, or its ScalingError's message."""
+    try:
+        sm = fit()
+    except ScalingError as exc:
+        return str(exc)
+    return sm.input_codebooks.tobytes(), sm.decision_codebook.tobytes()
+
+
+class TestScalingStack:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(scaling_tables(), min_size=1, max_size=5), st.integers(2, 6),
+           st.lists(st.integers(0, 2**32 - 1), min_size=5, max_size=5))
+    def test_each_member_equals_its_own_fit(self, tables, bins, seeds):
+        """Members of unequal length and width, failing or not, each get
+        what `fit_scaling` gives that table alone."""
+        stack = fit_scaling_stack(tables, bins, seeds)
+        for ds, seed, member in zip(tables, seeds, stack):
+            own = scaling_outcome(lambda: fit_scaling(ds, bins, seed))
+            got = str(member) if isinstance(member, ScalingError) else (
+                member.input_codebooks.tobytes(), member.decision_codebook.tobytes())
+            assert got == own
+
+    def test_fewer_than_two_bins_raises_for_the_stack(self):
+        ds = Dataset(np.linspace(0, 1, 10)[:, None], np.linspace(0, 1, 10))
+        with pytest.raises(ScalingError, match="bins must be >= 2"):
+            fit_scaling_stack([ds, ds], 1, [0, 1])
 
 
 def ref_nearest_label(values, codebook):
@@ -297,6 +342,64 @@ class TestPartitionApproximations:
             blocks_b = {frozenset(perm[i] for i in b) for b in indiscernibility_partition(permuted, attrs)}
             assert blocks_a == blocks_b
             assert dependency_degree(table, attrs) == dependency_degree(permuted, attrs)
+
+
+def ref_classes(conditions, attrs):
+    """`_classes` through `np.unique(axis=0)` over the attribute columns:
+    the reference for the integer-key labelling."""
+    _, first, inverse = np.unique(conditions[:, sorted(attrs)], axis=0,
+                                  return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))
+    return rank[inverse.reshape(-1)], np.sort(first)
+
+
+INT64 = np.iinfo(np.int64)
+# Per column, a pool of labels: a few small ones, or ones from anywhere in
+# int64, so that the mixed-radix key needs renumbering on wide tables and
+# its columns on spread-out labels.
+LABEL_POOLS = [np.arange(3), np.arange(-3, 1000), np.array([INT64.min, -1, 0, 1, INT64.max])]
+
+
+@st.composite
+def label_tables(draw):
+    """Conditions (n, a) with 1-12 rows and 0-60 attributes, each column
+    drawn from one pool of LABEL_POOLS, and a subset of the attributes."""
+    n, a = draw(st.integers(1, 12)), draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conditions = np.empty((n, a), dtype=np.int64)
+    for j in range(a):
+        pool = rng.choice(LABEL_POOLS[rng.integers(len(LABEL_POOLS))], size=rng.integers(1, 5))
+        conditions[:, j] = rng.choice(pool, size=n)
+    attrs = draw(st.lists(st.integers(0, a - 1), unique=True)) if a else []
+    return conditions, attrs
+
+
+class TestClassLabels:
+    @settings(max_examples=300, deadline=None)
+    @given(label_tables())
+    def test_integer_key_matches_row_unique(self, case):
+        conditions, attrs = case
+        table = DecisionTable(conditions, np.zeros(len(conditions), dtype=np.int64))
+        got, expected = _classes(table, attrs), ref_classes(conditions, attrs)
+        assert got[0].tolist() == expected[0].tolist()
+        assert got[1].tolist() == expected[1].tolist()
+
+    @pytest.mark.parametrize("attrs", [[], list(range(70))], ids=["empty-attrs", "all-70"])
+    def test_wide_table_of_full_range_labels(self, attrs):
+        # 70 columns of labels spread over int64: the key is renumbered
+        # before every column, and each column is renumbered as well.
+        rng = np.random.default_rng(4)
+        conditions = rng.choice(LABEL_POOLS[2], size=(40, 70))
+        conditions[20:] = conditions[:20]  # every class has two objects
+        table = DecisionTable(conditions, np.zeros(40, dtype=np.int64))
+        got, expected = _classes(table, attrs), ref_classes(conditions, attrs)
+        assert got[0].tolist() == expected[0].tolist()
+        assert got[1].tolist() == expected[1].tolist()
+
+    def test_no_rows(self):
+        table = DecisionTable(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64))
+        labels_, first = _classes(table, [0, 1])
+        assert labels_.size == 0 and first.size == 0
 
 
 class TestInduceClassify:
@@ -471,6 +574,26 @@ class TestMse:
 def test_rules_serialization(t0, t0_scaling):
     rules = induce_rules(t0, t0_scaling)
     doc = rules.to_dict()
+    assert doc["scaling"] == {"input_codebooks": [[0.0, 1.0]], "decision_codebook": [0.0, 1.0]}
     assert len(doc["rules"]) == 2
     assert doc["rules"][0] == {"descriptors": [0], "decision": 0, "support": 2, "certain": True}
     assert doc["rules"][1] == {"descriptors": [1], "decision": 1, "support": 2, "certain": False}
+
+
+def test_serialized_rules_classify_on_their_own():
+    """A rule set's document, through JSON, holds the codebooks bit for bit
+    and rebuilds a classifier that labels as the original does."""
+    rng = np.random.default_rng(12)
+    train = Dataset(rng.random((60, 3)), rng.random(60))
+    scaling = fit_scaling(train, 3, seed=5)
+    rules = induce_rules(apply_scaling(scaling, train), scaling)
+    doc = json.loads(json.dumps(rules.to_dict()))
+    codebooks = doc["scaling"]
+    assert np.array(codebooks["input_codebooks"]).tobytes() == scaling.input_codebooks.tobytes()
+    assert np.array(codebooks["decision_codebook"]).tobytes() == scaling.decision_codebook.tobytes()
+    rebuilt = RuleSet(
+        np.array([r["descriptors"] for r in doc["rules"]]), np.array([r["decision"] for r in doc["rules"]]),
+        np.array([r["support"] for r in doc["rules"]]), np.array([r["certain"] for r in doc["rules"]]),
+        ScalingMap(codebooks["input_codebooks"], codebooks["decision_codebook"]), doc["default_decision"])
+    test = rng.random((40, 3))
+    assert classify_rows(rebuilt, test).tolist() == classify_rows(rules, test).tolist()

@@ -294,3 +294,15 @@ class TestSpecValidation:
         assert (spec.alphas, spec.betas, spec.gammas) == ((1, 0.5), (0,), (2,))
         assert [type(a) for a in spec.alphas] == [int, float]
         assert [type(e) for e in spec.extras] == [int, int]
+
+    def test_grid_is_built_once_per_spec(self, tiny_data, monkeypatch):
+        import sonfis.sweep as sweep_module
+
+        calls = []
+        product = sweep_module.product
+        monkeypatch.setattr(sweep_module, "product", lambda *axes: calls.append(axes) or product(*axes))
+        spec = SweepSpec((0.7, 0.9), (0.001, 0.01), (0.5,), (2, 3), 2, LoopConfig(seed=0))
+        assert spec.grid == tuple(product(spec.alphas, spec.betas, spec.gammas, spec.extras))
+        run_sweep(spec, *tiny_data, error_fn=lambda t, g: 1.0, workers=1)
+        assert spec.grid is spec.grid
+        assert len(calls) == 1
