@@ -138,20 +138,26 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _workers(args) -> int | None:
+    """The `--workers` flag, checked as `pool.worker_count` checks it."""
+    return None if args.workers is None else _build("--workers", check_value, args.workers, int, 1)
+
+
 def _cmd_run(args, system: str) -> int:
+    workers = _workers(args)
     cfg = load_config(args.config)
     train, test = _prepare_data(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     run = dynamics.run_sonfis if system == "sonfis" else dynamics.run_sorst_as
-    traj = run(train, test, cfg.loop, cfg.noise)
+    traj = run(train, test, cfg.loop, cfg.noise, workers=workers)
     traj.to_csv(outdir / f"trajectory_{system}.csv")
     (outdir / f"report_{system}.json").write_text(dynamics.trajectory_report(traj))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    workers = None if args.workers is None else _build("--workers", check_value, args.workers, int, 1)
+    workers = _workers(args)
     cfg = load_config(args.config)
     train, test = _prepare_data(cfg)
     result = sweep_mod.run_sweep(cfg.sweep, train, test, keep_trajectories=args.trajectories is not None,
@@ -195,6 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
         r = sub.add_parser(name, help=f"single {name.split('-')[1]} run")
         r.add_argument("--config", required=True)
         r.add_argument("--out", default=".")
+        r.add_argument("--workers", type=int, default=None,
+                       help="processes that run the certified-open steps (default: every available CPU)")
 
     s = sub.add_parser("sweep", help="parameter-grid sweep")
     s.add_argument("--config", required=True)

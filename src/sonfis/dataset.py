@@ -258,8 +258,10 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 
 
 # The most records `gen_synthetic` makes. Its arrays take 32 bytes a record,
-# 32 MB here, but a SOM of fewer than 36 neurons searches them through two
-# (n, N) float64 distance matrices, 560 MB together at this size.
+# 32 MB here. Both BMU searches work in row blocks of about
+# `kernels.BLOCK_ELEMENTS` distances, so a 2-step `run_sonfis` on 9 x 10**5
+# training records, on one worker, peaked at 163 MB RSS with 35 neurons
+# and 211 MB with 400 (2 vCPUs, NumPy 2.4, one BLAS thread).
 MAX_SYNTHETIC_N = 10**6
 
 # `gen_synthetic`'s arguments in order, as `(kind, minimum[, maximum])`, and their CLI defaults.

@@ -24,6 +24,7 @@ import numpy as np
 from . import kernels, nfis, rst
 from .dataset import Dataset, check_field, check_fields, derive_seed
 from .nfis import NfisTrainParams
+from .pool import call, fork_pool, worker_count
 from .som import MAX_NEURONS, SomParams, extract_granules, grid_dims, train_som
 
 
@@ -136,7 +137,8 @@ def _segment(t: int, N: int, cfg: LoopConfig, p: NoiseParams, extra_of, e_max: f
     N_{t+1} at E = 0 and at E = `e_max`. Every E_t lies in [0, e_max], and
     the law is monotone in E (beta >= 0, and each rounding is monotone),
     so no fit could change N_{t+1}. The steps' `width * N_t * extra_of(t)`
-    (SORST-AS's stacked scaling search) add up to at most
+    (SORST-AS's stacked scaling search; for SONFIS it bounds the granules
+    and rule bases a segment holds) add up to at most
     `kernels.BLOCK_ELEMENTS`, or the segment is step t alone."""
     plan, size = [], 0
     while t <= cfg.iterations:
@@ -151,8 +153,56 @@ def _segment(t: int, N: int, cfg: LoopConfig, p: NoiseParams, extra_of, e_max: f
     return plan
 
 
+# Segment work, `len(train) * sum(N_t)` over its steps, from which the
+# loop runs a segment on forked workers. A 2-worker fork pool costs about
+# 8-10 ms, so pooling pays once a serial segment takes about 25 ms.
+# Measured with one BLAS thread on 2 vCPUs, fastest of 15 alternating
+# rounds, serial / pooled ms ("break_even" in `BENCH_step_pool.json`):
+# from 115,200 to 345,600 segments split both ways (SONFIS, 600 records x
+# 144 neurons x 3 steps, work 259,200: 13.4 / 17.0; 4500 x 16 x 3,
+# 216,000: 45.4 / 39.4); from 518,400 to 600,000 they tied or gained
+# (600 x 144 x 6: 33.0 / 24.9; SORST-AS 4500 x 64 x 2, 576,000:
+# 20.0 / 22.6 at medians of 25.1 / 25.1), and at 1,296,000 both gained.
+POOL_MIN_WORK = 2**19
+
+
+def _groups(plan: list[tuple[int, int]], k: int) -> list[list[tuple[int, int]]]:
+    """`plan`'s steps in at most `k` groups of near-equal work, each in
+    step order. A step's work is `len(train) * N_t`, and `len(train)` is
+    the same for every step, so each step in turn, largest N_t first, joins
+    the group with the least N so far."""
+    groups = [[] for _ in range(min(k, len(plan)))]
+    loads = [0] * len(groups)
+    for t, N in sorted(plan, key=lambda step: -step[1]):
+        i = loads.index(min(loads))
+        groups[i].append((t, N))
+        loads[i] += N
+    return [sorted(group) for group in groups]
+
+
+def _pooled(plan, run_steps, workers: int, n_records: int) -> list:
+    """`run_steps(plan)`, split into `_groups` when pooling pays: this
+    process runs the first group, and a `pool.fork_pool` of one process per
+    other group runs the rest. Serial when `workers` is 1, the plan has one
+    step, its work is below POOL_MIN_WORK or fork is unavailable. Each
+    step's result depends on its own (t, N_t) alone, so the results, put
+    back in step order, are those of the serial call."""
+    groups = _groups(plan, workers)
+    pool = None
+    if len(groups) > 1 and n_records * sum(N for _, N in plan) >= POOL_MIN_WORK:
+        pool = fork_pool(len(groups) - 1, run_steps)
+    if pool is None:
+        return run_steps(plan)
+    with pool:
+        futures = [pool.submit(call, group) for group in groups[1:]]
+        results = [run_steps(groups[0])] + [future.result() for future in futures]
+    by_step = {t: out for group, outs in zip(groups, results) for (t, _), out in zip(group, outs)}
+    return [by_step[t] for t, _ in plan]
+
+
 def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
-              extras: int | tuple[int, ...], fit_segment, error_fn, e_max: float | None = None) -> Trajectory:
+              extras: int | tuple[int, ...], fit_segment, error_fn, e_max: float | None,
+              workers: int | None) -> Trajectory:
     """The close-open loop both systems share. Step t granulates `train`
     with a SOM of N_t neurons, measures E_t and applies the update law.
     The granules are a Dataset, one record per live neuron
@@ -168,10 +218,15 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     `e_max`, when given, bounds every E_t. The loop then runs one
     `_segment` at a time: its N series is known before any fit, so all its
     SOMs train first, then one `fit_segment` call fits them all, then the
-    steps record their points and apply the law in order. A segment that
-    raises runs again one step at a time, so the exception the
-    step-by-step loop meets escapes. Without `e_max`, or with `error_fn`
-    (no bound), every segment is one step."""
+    steps record their points and apply the law in order. On more than one
+    of `workers` (`pool.worker_count`) a large segment's steps are split
+    among forked processes (`_pooled`); each trains its steps' SOMs and
+    fits them, and the points are the same for any `workers`. A segment
+    that raises, a broken pool included, runs again one step at a time, so
+    the exception the step-by-step loop meets escapes. Without `e_max`, or
+    with `error_fn` (no bound), every segment is one step, in this
+    process."""
+    workers = worker_count(workers)
     if error_fn is not None:
         e_max = None
         def fit_segment(steps):
@@ -179,6 +234,14 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
 
     def extra_of(t):
         return extras[t - 1] if isinstance(extras, tuple) else extras
+
+    def run_steps(plan):
+        """Each planned step's live granule count and fit."""
+        steps = []
+        for t, N in plan:
+            grid = train_som(train, grid_dims(N), cfg.som, derive_seed(cfg.seed, 0, t))
+            steps.append((t, extract_granules(grid, train), extra_of(t), derive_seed(cfg.seed, 1, t)))
+        return [(len(granules), fitted) for (_, granules, _, _), fitted in zip(steps, fit_segment(steps))]
 
     points: list[TrajectoryPoint] = []
     t, N = 1, cfg.initial_N
@@ -190,27 +253,48 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
         else:
             plan = _segment(t, N, cfg, p, extra_of, e_max, train.X.shape[1] + 1)
         try:
-            steps = []
-            for t_k, N_k in plan:
-                grid = train_som(train, grid_dims(N_k), cfg.som, derive_seed(cfg.seed, 0, t_k))
-                steps.append((t_k, extract_granules(grid, train), extra_of(t_k), derive_seed(cfg.seed, 1, t_k)))
-            fits = fit_segment(steps)
+            outs = _pooled(plan, run_steps, workers, len(train))
         except Exception:  # any error: the step-by-step run raises it again, at its own step
             if len(plan) == 1:
                 raise
             alone_through = plan[-1][0]
             continue
-        for (t_k, granules, extra, _), fitted in zip(steps, fits):
+        for (t_k, _), (live, fitted) in zip(plan, outs):
             if fitted is not None:  # otherwise E carries forward
                 E, final_model = fitted
-            points.append(TrajectoryPoint(t_k, N, *grid_dims(N), len(granules), E, extra))
+            points.append(TrajectoryPoint(t_k, N, *grid_dims(N), live, E, extra_of(t_k)))
             N = update_neuron_count(N, E, p, cfg.n_min, cfg.n_max)
         t = plan[-1][0] + 1
     return Trajectory(points, cfg, p, final_model)
 
 
+def sonfis_error_bound(train: Dataset, test: Dataset) -> float | None:
+    """An upper bound on every E_t `run_sonfis` computes, the carried start
+    std(test.y) included. A prediction clipped to [lo, hi], the training
+    decisions' range, lies within D = max(hi - min(test.y), max(test.y) - lo)
+    of every test decision, and a root mean square is at most the largest
+    term, so the exact clipped RMSE is at most D.
+
+    The computed RMSE rounds each difference and square, the sum of n
+    nonnegative squares (at most n - 1 roundings in any order), the mean
+    and the square root, each by a factor of at most 1 + u, u = 2**-53:
+    it is at most D (1 + u)**((n + 5) / 2). The margin (n + 8) eps =
+    2 (n + 8) u is twice that exponent's need and also covers the roundings
+    of D and of this product. Squares that underflow can round up by
+    2**-1074 each, which moves the square root by less than the absolute
+    2**-500. Below D = 2**500 / sqrt(n) the sum of squares stays under
+    2**1001, so nothing overflows; from there on there is no bound, and
+    None is returned."""
+    lo, hi = float(train.y.min()), float(train.y.max())
+    reach = max(hi - float(test.y.min()), float(test.y.max()) - lo)
+    if not reach < 2.0**500 / math.sqrt(len(test)):
+        return None
+    reach = max(reach, float(np.std(test.y)))  # the exact std is at most D
+    return reach * (1 + (len(test) + 8) * np.finfo(np.float64).eps) + 2.0**-500
+
+
 def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
-               error_fn=None) -> Trajectory:
+               error_fn=None, workers: int | None = None) -> Trajectory:
     """Close-open loop with the fuzzy second layer. E_t is the test RMSE of
     the fuzzy output clipped to the training decisions' range: with few
     granules per consequent unknown the least-squares fit can extrapolate
@@ -218,7 +302,12 @@ def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     `error_fn(t, granules)` is a test hook replacing the second layer (e.g.
     a constant-error stub); it receives step t's granules as the Dataset
     the second layer would fit. Returns the trajectory; the final rule base
-    is `trajectory.final_model` (None when the hook is active)."""
+    is `trajectory.final_model` (None when the hook is active).
+
+    E_t <= `sonfis_error_bound(train, test)`, so the loop certifies its
+    open steps and runs them in segments, on up to `workers` processes
+    (default: one per CPU this process may run on); the trajectory and the
+    final rule base are the same for any `workers`."""
     def fit_eval(granules, n_rules, seed):
         if len(granules) < n_rules:
             return None
@@ -229,15 +318,16 @@ def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     def fit_segment(steps):
         return [fit_eval(granules, n_rules, seed) for _, granules, n_rules, seed in steps]
 
-    return _run_loop(train, test, cfg, p, cfg.n_rules, fit_segment, error_fn)
+    return _run_loop(train, test, cfg, p, cfg.n_rules, fit_segment, error_fn,
+                     sonfis_error_bound(train, test), workers)
 
 
 def run_sorst_as(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
-                 error_fn=None) -> Trajectory:
+                 error_fn=None, workers: int | None = None) -> Trajectory:
     """Close-open loop with the rough second layer: granules are discretized
     by per-attribute 1-D SOM scaling with the step's bin count from
     `cfg.bins`, rules are induced, and E_t is the classifier MSE on the test
-    data. `error_fn` is the hook of `run_sonfis`.
+    data. `error_fn` and `workers` are those of `run_sonfis`.
 
     The label MSE is at most (bins - 1)**2, and the carried start is
     std(test.y), so E_t <= max(std(test.y), (max bins - 1)**2): with that
@@ -259,7 +349,7 @@ def run_sorst_as(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
 
     bins = cfg.bins if isinstance(cfg.bins, tuple) else (cfg.bins,)
     e_max = max(float(np.std(test.y)), float((max(bins) - 1) ** 2))
-    return _run_loop(train, test, cfg, p, cfg.bins, fit_segment, error_fn, e_max)
+    return _run_loop(train, test, cfg, p, cfg.bins, fit_segment, error_fn, e_max, workers)
 
 
 LAMINAR_CV = 0.05

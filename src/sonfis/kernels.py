@@ -54,11 +54,25 @@ def assign_bmus(data, protos):
 def assign_exact(data, protos):
     """Squared Euclidean distance, summed one attribute at a time into one
     (n, m) matrix, a sequential order. np.argmin keeps the first (lowest)
-    index on ties.
+    index on ties. 2-D input is searched in blocks of
+    `BLOCK_ELEMENTS // m` rows: each row's BMU depends on that row alone,
+    so the blocks give the BMUs of one pass, with (rows, m) matrices of
+    about BLOCK_ELEMENTS elements instead of (n, m).
 
     Leading axes stack independent searches: `data` (..., n, d) and
     `protos` (..., m, d) give (..., n), each member equal to its own 2-D
     call. `assign_bmus` stays 2-D, so stacks call this directly."""
+    step = max(1, BLOCK_ELEMENTS // protos.shape[-2])
+    if data.ndim == 2 and data.shape[0] > step:
+        bmus = np.empty(data.shape[0], dtype=np.int64)
+        for lo in range(0, data.shape[0], step):
+            bmus[lo:lo + step] = _exact_pass(data[lo:lo + step], protos)
+        return bmus
+    return _exact_pass(data, protos)
+
+
+def _exact_pass(data, protos):
+    """`assign_exact` in one pass over all rows."""
     d2 = data[..., :, None, 0] - protos[..., None, :, 0]
     d2 *= d2
     if data.shape[-1] > 1:

@@ -6,16 +6,16 @@ deterministic seed derivation, and long-format CSV export.
 from __future__ import annotations
 
 import csv
-import os
 import sys
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 
 import numpy as np
 
 from .dataset import Dataset, DatasetError, check_field, check_fields, derive_seed, field_error, read_csv
 from .dynamics import LoopConfig, NoiseParams, OrderMetrics, order_metrics, run_sonfis, run_sorst_as
+from .pool import call, fork_pool, worker_count
 
 # The sweep CSV's columns, in order, each with the type `load_csv_rows`
 # parses it back with: the cell key, then the repeat's order metrics.
@@ -98,7 +98,8 @@ class SweepResult:
 def _run_task(state, cell_index: int, rep: int):
     """One (cell, repeat) of a sweep: `(metrics, trajectory or None, None)`,
     or `(None, None, error)` when it raised. `state` is `(spec, train, test,
-    error_fn, keep_trajectories)`."""
+    error_fn, keep_trajectories)`. The loop runs on one worker, so a pooled
+    sweep never starts a pool inside a pool."""
     spec, train, test, error_fn, keep = state
     alpha, beta, gamma, extra = spec.grid[cell_index]
     p = NoiseParams(alpha, beta, gamma)
@@ -108,22 +109,10 @@ def _run_task(state, cell_index: int, rep: int):
             cfg, run = replace(spec.base_config, n_rules=extra, seed=seed), run_sonfis
         else:
             cfg, run = replace(spec.base_config, bins=extra, seed=seed), run_sorst_as
-        traj = run(train, test, cfg, p, error_fn=error_fn)
+        traj = run(train, test, cfg, p, error_fn=error_fn, workers=1)
         return order_metrics(traj, burn_in=spec.burn_in), traj if keep else None, None
     except Exception as exc:  # degenerate corners stay local to the cell
         return None, None, f"{type(exc).__name__}: {exc}"
-
-
-_worker_state = None  # a pool worker's `_run_task` state, set by `_init_worker`
-
-
-def _init_worker(*state) -> None:
-    global _worker_state
-    _worker_state = state
-
-
-def _pool_task(cell_index: int, rep: int):
-    return _run_task(_worker_state, cell_index, rep)
 
 
 def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
@@ -135,19 +124,13 @@ def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
 
     Each (cell, repeat) is one task, seeded by `derive_seed(seed, cell
     index, repeat)` alone, so the result is the same for any `workers`
-    (default: one per CPU this process may run on; capped at the task
-    count). With more than one worker the
-    tasks run in a pool of forked processes, which inherit the inputs and
-    `error_fn` rather than receive them pickled, so a lambda stub works; at
-    most two tasks per worker are in flight. The pool forks every worker
-    before it starts its own thread. Where fork is unavailable the tasks
-    run in this process."""
-    if workers is None:
-        affinity = getattr(os, "sched_getaffinity", None)
-        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = check_field("workers", workers, int, 1)
+    (`pool.worker_count`; capped at the task count). With more than one
+    worker the tasks run in a `pool.fork_pool`, whose workers inherit the
+    inputs and `error_fn`, so a lambda stub works; at most two tasks per
+    worker are in flight. Where fork is unavailable the tasks run in this
+    process."""
     grid = spec.grid
-    workers = min(workers, len(grid) * spec.repeats)
+    workers = min(worker_count(workers), len(grid) * spec.repeats)
     state = (spec, train, test, error_fn, keep_trajectories)
     first_failed = [spec.repeats] * len(grid)  # repeat index; repeats when none failed
     outputs: dict[tuple[int, int], tuple] = {}
@@ -164,18 +147,17 @@ def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
         if output[2] is not None:
             first_failed[cell_index] = min(first_failed[cell_index], rep)
 
-    import multiprocessing
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+    pool = fork_pool(workers, partial(_run_task, state)) if workers > 1 else None
+    if pool is None:
         for task in tasks():
             record(*task, _run_task(state, *task))
     else:
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 initializer=_init_worker, initargs=state) as pool:
+        from concurrent.futures import FIRST_COMPLETED, wait
+        with pool:
             pending, todo = {}, tasks()
             while True:
                 for task in todo:
-                    pending[pool.submit(_pool_task, *task)] = task
+                    pending[pool.submit(call, *task)] = task
                     if len(pending) >= 2 * workers:
                         break
                 if not pending:

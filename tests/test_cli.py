@@ -578,6 +578,26 @@ class TestExecute:
         assert execute(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--workers", value]) == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run-sonfis", "run-sorst"])
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_run_bad_workers_exits_2(self, tmp_path, capsys, command, value):
+        cfg = write_config(tmp_path, SMALL)
+        assert execute([command, "--config", str(cfg), "--out", str(tmp_path), "--workers", value]) == 2
+        assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("system", ["sonfis", "sorst"])
+    def test_run_workers_give_identical_outputs(self, tmp_path, monkeypatch, system):
+        # Every segment of two or more steps takes the pool.
+        monkeypatch.setattr("sonfis.dynamics.POOL_MIN_WORK", 0)
+        cfg = write_config(tmp_path, dict(SMALL, iterations=8))
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert execute([f"run-{system}", "--config", str(cfg), "--out", str(out), "--workers", workers]) == 0
+            outputs.append([(out / f"{kind}_{system}.{ext}").read_bytes()
+                            for kind, ext in (("trajectory", "csv"), ("report", "json"))])
+        assert outputs[0] == outputs[1]
+
     def test_trajectories_json_dump(self, tmp_path):
         doc = dict(SMALL, sweep={"alphas": [0.9], "repeats": 1, "burn_in": 0})
         cfg = write_config(tmp_path, doc)

@@ -1,11 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sonfis import dynamics, kernels, rst
+from sonfis import dynamics, kernels, nfis, rst
 from sonfis.dataset import Dataset, SplitSpec, derive_seed, gen_synthetic, min_max_normalize, split
 from sonfis.dynamics import (
     LoopConfig,
@@ -19,6 +20,7 @@ from sonfis.dynamics import (
     trajectory_report,
     update_neuron_count,
 )
+from sonfis.nfis import NfisTrainParams
 from sonfis.som import SomParams, extract_granules, grid_dims, train_som
 
 
@@ -239,7 +241,7 @@ class TestSegments:
         points, model, failed = stepwise_sorst(train, test, cfg, p, error_fn)
         if stack_sizes is not None:
             stack_sizes.clear()
-        traj = run_sorst_as(train, test, cfg, p, error_fn=error_fn)
+        traj = run_sorst_as(train, test, cfg, p, error_fn=error_fn, workers=1)
         assert traj.points == points
         if model is None:
             assert traj.final_model is None
@@ -323,7 +325,7 @@ class TestSegments:
 
         monkeypatch.setattr(dynamics, "train_som", failing_at_4)
         with pytest.raises(ValueError, match="^step 4$"):
-            run_sorst_as(train, test, cfg, NoiseParams(0.9, 0.001, 0.5))
+            run_sorst_as(train, test, cfg, NoiseParams(0.9, 0.001, 0.5), workers=1)
         assert trained == [1, 2, 3, 4, 1, 2, 3, 4]  # the segment, then step by step
 
 
@@ -339,6 +341,122 @@ class TestOpenSteps:
         assume(at_zero == update_neuron_count(N, e_max, p, n_min, n_max))
         E = data.draw(st.floats(0, e_max))
         assert update_neuron_count(N, E, p, n_min, n_max) == at_zero
+
+
+class TestSonfisBound:
+    DECISIONS = st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300), st.floats(-1e160, 1e160))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(DECISIONS, min_size=1, max_size=20), st.lists(DECISIONS, min_size=1, max_size=20),
+           st.data())
+    def test_clipped_rmse_never_exceeds_the_bound(self, train_y, test_y, data):
+        """The RMSE `run_sonfis` computes, for any predictions (infinite and
+        huge ones included), is at most `sonfis_error_bound`, and so is the
+        carried start std(test.y)."""
+        train = Dataset(np.zeros((len(train_y), 1)), train_y)
+        test = Dataset(np.zeros((len(test_y), 1)), test_y)
+        pred = np.array(data.draw(st.lists(st.floats(allow_nan=False), min_size=len(test_y),
+                                           max_size=len(test_y))))
+        bound = dynamics.sonfis_error_bound(train, test)
+        assume(bound is not None)  # decisions so far apart that a square could overflow
+        with mock.patch.object(nfis, "predict", lambda fis, X: pred):
+            E = nfis.rmse(None, test, train.y.min(), train.y.max())
+        assert E <= bound
+        assert float(np.std(test.y)) <= bound
+
+    def test_no_bound_where_squares_could_overflow(self):
+        train = Dataset(np.zeros((2, 1)), [0.0, 1.0])
+        assert dynamics.sonfis_error_bound(train, Dataset(np.zeros((2, 1)), [0.0, 1e200])) is None
+        assert dynamics.sonfis_error_bound(train, Dataset(np.zeros((2, 1)), [-1.7e308, 1.7e308])) is None
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Forces the step pool on any segment of two or more steps, and counts
+    the pools the loop starts."""
+    starts = []
+    fork_pool = dynamics.fork_pool
+
+    def counted(workers, task):
+        starts.append(workers)
+        return fork_pool(workers, task)
+
+    monkeypatch.setattr(dynamics, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(dynamics, "fork_pool", counted)
+    return starts
+
+
+class TestWorkers:
+    """A run writes the same trajectory CSV and report for any `workers`."""
+
+    SOM = SomParams(epochs=3)
+
+    def outputs(self, tmp_path, run, data, cfg, p, workers, **kwargs):
+        traj = run(*data, cfg, p, workers=workers, **kwargs)
+        path = tmp_path / f"trajectory_{workers}.csv"
+        traj.to_csv(path)
+        return path.read_bytes(), trajectory_report(traj)
+
+    def check(self, tmp_path, small_data, cfg, p, pool_starts, **kwargs):
+        """Both systems' outputs on 1 and 2 workers; the pools started."""
+        for run in (run_sonfis, run_sorst_as):
+            started = len(pool_starts)
+            serial = self.outputs(tmp_path, run, small_data, cfg, p, 1, **kwargs)
+            assert len(pool_starts) == started
+            assert self.outputs(tmp_path, run, small_data, cfg, p, 2, **kwargs) == serial
+        return pool_starts
+
+    def test_default_beta_every_step_open(self, tmp_path, small_data, pool_starts):
+        cfg = LoopConfig(iterations=12, initial_N=40, seed=5, som=self.SOM)
+        assert self.check(tmp_path, small_data, cfg, NoiseParams(0.9, 0.001, 0.5), pool_starts) == [1, 1]
+
+    def test_unit_beta_most_steps_not_open(self, tmp_path, small_data, pool_starts):
+        cfg = LoopConfig(iterations=12, initial_N=40, seed=5, som=self.SOM)
+        self.check(tmp_path, small_data, cfg, NoiseParams(0.9, 1.0, 0.5), pool_starts)
+
+    def test_per_step_bins(self, tmp_path, small_data, pool_starts):
+        bins = (2, 3, 5, 3, 2, 5, 4, 3, 2, 5)
+        cfg = LoopConfig(iterations=10, initial_N=40, bins=bins, seed=8, som=self.SOM)
+        assert self.check(tmp_path, small_data, cfg, NoiseParams(0.9, 0.001, 0.5), pool_starts)
+
+    def test_error_hook_stays_serial(self, tmp_path, small_data, pool_starts):
+        cfg = LoopConfig(iterations=10, initial_N=40, seed=5, som=self.SOM)
+        hook = lambda t, g: len(g) / 10  # noqa: E731
+        assert self.check(tmp_path, small_data, cfg, NoiseParams(0.9, 0.001, 0.5), pool_starts,
+                          error_fn=hook) == []
+
+    def test_runaway_fit_raises_the_same_error(self, small_data, pool_starts):
+        cfg = LoopConfig(iterations=6, initial_N=40, seed=5, som=self.SOM,
+                         nfis=NfisTrainParams(epochs=3, premise_learning_rate=1e308))
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(FloatingPointError) as info:
+                run_sonfis(*small_data, cfg, NoiseParams(0.9, 0.001, 0.5), workers=workers)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert pool_starts == [1]
+
+    def test_small_segments_stay_serial(self, small_data, monkeypatch):
+        starts = []
+        monkeypatch.setattr(dynamics, "fork_pool", lambda *args: starts.append(args))
+        cfg = LoopConfig(iterations=6, initial_N=40, seed=5, som=self.SOM)
+        run_sonfis(*small_data, cfg, NoiseParams(0.9, 0.001, 0.5), workers=2)
+        assert 100 * 40 * 6 < dynamics.POOL_MIN_WORK and starts == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(4, 400), min_size=1, max_size=40), st.integers(1, 6))
+    def test_groups_balance_the_planned_neurons(self, Ns, k):
+        plan = list(enumerate(Ns, start=1))
+        groups = dynamics._groups(plan, k)
+        assert len(groups) == min(k, len(plan))
+        assert sorted(step for group in groups for step in group) == plan
+        assert all(group == sorted(group) for group in groups)
+        loads = [sum(N for _, N in group) for group in groups]
+        assert max(loads) - min(loads) <= max(Ns)
+
+    def test_workers_below_one_rejected(self, small_data):
+        with pytest.raises(ValueError, match="workers"):
+            run_sonfis(*small_data, LoopConfig(iterations=2, initial_N=8), NoiseParams(), workers=0)
 
 
 def make_traj(Ns, Es=None):

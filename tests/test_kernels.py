@@ -1,5 +1,7 @@
 """The SOM kernels against a literal reference loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -368,3 +370,28 @@ def test_stacked_move_prototypes_equals_each_member(stack, m, d):
         assert protos[idx].tobytes() == member.tobytes()
     # Neuron 0 has no neighbourhood weight in any member: it stays put.
     assert protos[..., 0, :].tobytes() == before[..., 0, :].tobytes()
+
+
+class TestExactBlocks:
+    def test_blocks_give_the_one_pass_bmus(self, monkeypatch):
+        # Ties on a coarse grid; blocks of 3 rows leave a short last block.
+        rng = np.random.default_rng(4)
+        data = rng.integers(0, 3, (50, 2)).astype(np.float64)
+        protos = rng.integers(0, 3, (7, 2)).astype(np.float64)
+        whole = kernels._exact_pass(data, protos)
+        monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 3 * 7)
+        assert np.array_equal(kernels.assign_exact(data, protos), whole)
+        assert np.array_equal(whole, ref_assign(data, protos))
+
+    def test_exact_search_memory_is_bounded(self):
+        # One pass holds two (n, m) float64 matrices, about 54 MiB here.
+        rng = np.random.default_rng(5)
+        data, protos = rng.random((10**5, 3)), rng.random((35, 3))
+        tracemalloc.start()
+        try:
+            bmus = kernels.assign_exact(data, protos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert np.array_equal(bmus[:1000], kernels._exact_pass(data[:1000], protos))

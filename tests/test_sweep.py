@@ -104,10 +104,10 @@ class TestWorkers:
         failing_seed = derive_seed(spec.base_config.seed, 0, 1)
         real = sweep_mod.run_sonfis
 
-        def run_sonfis(train, test, cfg, p, error_fn=None):
+        def run_sonfis(train, test, cfg, p, error_fn=None, workers=None):
             if cfg.seed == failing_seed:
                 raise RuntimeError("repeat 1 failed")
-            return real(train, test, cfg, p, error_fn=error_fn)
+            return real(train, test, cfg, p, error_fn=error_fn, workers=workers)
 
         monkeypatch.setattr(sweep_mod, "run_sonfis", run_sonfis)
         result = self.run_both(spec, *tiny_data, tmp_path, error_fn=lambda t, g: 10.0)
@@ -134,6 +134,22 @@ class TestWorkers:
         assert calls.value <= len(spec.grid) * 2 * 2
         assert pooled == run_sweep(spec, train, test, error_fn=explode, workers=1)
         assert [(len(cell.metrics), cell.error) for cell in pooled.cells] == [(0, "RuntimeError: boom")] * 3
+
+    @pytest.mark.parametrize("system", ["sonfis", "sorst"])
+    def test_tasks_run_their_loops_on_one_worker(self, tiny_data, monkeypatch, system):
+        import sonfis.sweep as sweep_mod
+
+        name = "run_sonfis" if system == "sonfis" else "run_sorst_as"
+        real, seen = getattr(sweep_mod, name), []
+
+        def run(*args, **kwargs):
+            seen.append(kwargs["workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, name, run)
+        spec = SweepSpec((0.7, 0.9), (0.001,), (0.5,), (3,), 2, stub_spec().base_config, system)
+        run_sweep(spec, *tiny_data, workers=1)
+        assert seen == [1, 1, 1, 1]
 
     def test_workers_below_one_rejected(self, tiny_data):
         with pytest.raises(ValueError, match="workers"):
