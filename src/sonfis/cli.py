@@ -88,6 +88,8 @@ def load_config(path) -> RunConfig:
             if not isinstance(src[key], str):
                 raise ConfigError(f"$.dataset.{key}: expected a string, got {src[key]!r}")
     elif "synthetic" in src:
+        if "decision_column" in src:
+            raise ConfigError("$.dataset.decision_column: allowed only with 'csv'")
         _check_keys(src["synthetic"], SYNTHETIC_KEYS, "$.dataset.synthetic")
         syn = {**SYNTHETIC_DEFAULTS, **src["synthetic"]}
         src = {"synthetic": {key: _build(f"$.dataset.synthetic.{key}", check_value, syn[key], *entry)

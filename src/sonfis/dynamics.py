@@ -125,7 +125,8 @@ def update_neuron_count(N_t: int, E_t: float, p: NoiseParams, n_min: int, n_max:
 
 
 def _law(N_t: int, E_t: float, p: NoiseParams, n_min: int, n_max: int) -> int:
-    raw = p.alpha * N_t + p.beta * E_t + p.gamma
+    # beta = 0 ignores E_t, an infinite bound included, where 0 * inf is NaN.
+    raw = p.alpha * N_t + (p.beta * E_t if p.beta else 0.0) + p.gamma
     return math.floor(min(max(raw, n_min), n_max))
 
 
@@ -136,10 +137,11 @@ def _segment(t: int, N: int, cfg: LoopConfig, p: NoiseParams, extra_of, e_max: f
     step that is not open. A step is open when the law gives the same
     N_{t+1} at E = 0 and at E = `e_max`. Every E_t lies in [0, e_max], and
     the law is monotone in E (beta >= 0, and each rounding is monotone),
-    so no fit could change N_{t+1}. The steps' `width * N_t * extra_of(t)`
-    (SORST-AS's stacked scaling search; for SONFIS it bounds the granules
-    and rule bases a segment holds) add up to at most
-    `kernels.BLOCK_ELEMENTS`, or the segment is step t alone."""
+    so no fit could change N_{t+1}. The law at E = 0 is monotone in N too
+    (alpha >= 0), so the segment's N series is monotone. The steps'
+    `width * N_t * extra_of(t)` (SORST-AS's stacked scaling search; for
+    SONFIS it bounds the granules and rule bases a segment holds) add up to
+    at most `kernels.BLOCK_ELEMENTS`, or the segment is step t alone."""
     plan, size = [], 0
     while t <= cfg.iterations:
         size += width * N * extra_of(t)
@@ -166,42 +168,33 @@ def _segment(t: int, N: int, cfg: LoopConfig, p: NoiseParams, extra_of, e_max: f
 POOL_MIN_WORK = 2**19
 
 
-def _groups(plan: list[tuple[int, int]], k: int) -> list[list[tuple[int, int]]]:
-    """`plan`'s steps in at most `k` groups of near-equal work, each in
-    step order. A step's work is `len(train) * N_t`, and `len(train)` is
-    the same for every step, so each step in turn, largest N_t first, joins
-    the group with the least N so far."""
-    groups = [[] for _ in range(min(k, len(plan)))]
-    loads = [0] * len(groups)
-    for t, N in sorted(plan, key=lambda step: -step[1]):
-        i = loads.index(min(loads))
-        groups[i].append((t, N))
-        loads[i] += N
-    return [sorted(group) for group in groups]
-
-
 def _pooled(plan, run_steps, workers: int, n_records: int) -> list:
-    """`run_steps(plan)`, split into `_groups` when pooling pays: this
-    process runs the first group, and a `pool.fork_pool` of one process per
-    other group runs the rest. Serial when `workers` is 1, the plan has one
-    step, its work is below POOL_MIN_WORK or fork is unavailable. Each
-    step's result depends on its own (t, N_t) alone, so the results, put
-    back in step order, are those of the serial call."""
-    groups = _groups(plan, workers)
+    """`run_steps(plan)`, its steps dealt round-robin to k = min(`workers`,
+    len(plan)) groups `plan[i::k]` when pooling pays: this process runs
+    group 0, and a `pool.fork_pool` of k - 1 processes runs the rest. A
+    step's work is `n_records * N_t`, and a segment's N series is monotone
+    (`_segment`), so the groups' summed N_t differ by at most the largest
+    N_t. Serial when `workers` is 1, the plan has one step, its work is
+    below POOL_MIN_WORK or fork is unavailable. Each step's result depends
+    on its own (t, N_t) alone, so the results, put back in step order, are
+    those of the serial call."""
+    k = min(workers, len(plan))
     pool = None
-    if len(groups) > 1 and n_records * sum(N for _, N in plan) >= POOL_MIN_WORK:
-        pool = fork_pool(len(groups) - 1, run_steps)
+    if k > 1 and n_records * sum(N for _, N in plan) >= POOL_MIN_WORK:
+        pool = fork_pool(k - 1, run_steps)
     if pool is None:
         return run_steps(plan)
+    outs = [None] * len(plan)
     with pool:
-        futures = [pool.submit(call, group) for group in groups[1:]]
-        results = [run_steps(groups[0])] + [future.result() for future in futures]
-    by_step = {t: out for group, outs in zip(groups, results) for (t, _), out in zip(group, outs)}
-    return [by_step[t] for t, _ in plan]
+        futures = [pool.submit(call, plan[i::k]) for i in range(1, k)]
+        outs[0::k] = run_steps(plan[0::k])
+        for i, future in enumerate(futures, start=1):
+            outs[i::k] = future.result()
+    return outs
 
 
 def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
-              extras: int | tuple[int, ...], fit_segment, error_fn, e_max: float | None,
+              extras: int | tuple[int, ...], fit_segment, error_fn, bound: float | None,
               workers: int | None) -> Trajectory:
     """The close-open loop both systems share. Step t granulates `train`
     with a SOM of N_t neurons, measures E_t and applies the update law.
@@ -215,20 +208,21 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     layer. Step t seeds the SOM with `derive_seed(seed, 0, t)` and the
     second layer with `derive_seed(seed, 1, t)`.
 
-    `e_max`, when given, bounds every E_t. The loop then runs one
-    `_segment` at a time: its N series is known before any fit, so all its
-    SOMs train first, then one `fit_segment` call fits them all, then the
-    steps record their points and apply the law in order. On more than one
-    of `workers` (`pool.worker_count`) a large segment's steps are split
-    among forked processes (`_pooled`); each trains its steps' SOMs and
-    fits them, and the points are the same for any `workers`. A segment
+    `bound`, when given, bounds every E_t a fit returns, so every E_t the
+    loop carries is at most e_max = max(std(test.y), bound). The loop then
+    runs one `_segment` at a time: its N series is known before any fit, so
+    all its SOMs train first, then one `fit_segment` call fits them all,
+    then the steps record their points and apply the law in order. On more
+    than one of `workers` (`pool.worker_count`) a large segment's steps are
+    dealt among forked processes (`_pooled`); each trains its steps' SOMs
+    and fits them, and the points are the same for any `workers`. A segment
     that raises, a broken pool included, runs again one step at a time, so
-    the exception the step-by-step loop meets escapes. Without `e_max`, or
+    the exception the step-by-step loop meets escapes. Without `bound`, or
     with `error_fn` (no bound), every segment is one step, in this
     process."""
     workers = worker_count(workers)
     if error_fn is not None:
-        e_max = None
+        bound = None
         def fit_segment(steps):
             return [(float(error_fn(t, granules)), None) for t, granules, _, _ in steps]
 
@@ -246,6 +240,7 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     points: list[TrajectoryPoint] = []
     t, N = 1, cfg.initial_N
     E, final_model = float(np.std(test.y)), None
+    e_max = None if bound is None else max(E, bound)
     alone_through = 0  # the last step of a segment that raised
     while t <= cfg.iterations:
         if e_max is None or t <= alone_through:
@@ -269,8 +264,8 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
 
 
 def sonfis_error_bound(train: Dataset, test: Dataset) -> float | None:
-    """An upper bound on every E_t `run_sonfis` computes, the carried start
-    std(test.y) included. A prediction clipped to [lo, hi], the training
+    """An upper bound on every E_t a `run_sonfis` fit computes; the loop
+    adds its carried start. A prediction clipped to [lo, hi], the training
     decisions' range, lies within D = max(hi - min(test.y), max(test.y) - lo)
     of every test decision, and a root mean square is at most the largest
     term, so the exact clipped RMSE is at most D.
@@ -289,7 +284,6 @@ def sonfis_error_bound(train: Dataset, test: Dataset) -> float | None:
     reach = max(hi - float(test.y.min()), float(test.y.max()) - lo)
     if not reach < 2.0**500 / math.sqrt(len(test)):
         return None
-    reach = max(reach, float(np.std(test.y)))  # the exact std is at most D
     return reach * (1 + (len(test) + 8) * np.finfo(np.float64).eps) + 2.0**-500
 
 
@@ -304,10 +298,10 @@ def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     the second layer would fit. Returns the trajectory; the final rule base
     is `trajectory.final_model` (None when the hook is active).
 
-    E_t <= `sonfis_error_bound(train, test)`, so the loop certifies its
-    open steps and runs them in segments, on up to `workers` processes
-    (default: one per CPU this process may run on); the trajectory and the
-    final rule base are the same for any `workers`."""
+    Each fit's E_t <= `sonfis_error_bound(train, test)`, so the loop
+    certifies its open steps and runs them in segments, on up to `workers`
+    processes (default: one per CPU this process may run on); the
+    trajectory and the final rule base are the same for any `workers`."""
     def fit_eval(granules, n_rules, seed):
         if len(granules) < n_rules:
             return None
@@ -329,11 +323,9 @@ def run_sorst_as(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     `cfg.bins`, rules are induced, and E_t is the classifier MSE on the test
     data. `error_fn` and `workers` are those of `run_sonfis`.
 
-    The label MSE is at most (bins - 1)**2, and the carried start is
-    std(test.y), so E_t <= max(std(test.y), (max bins - 1)**2): with that
-    bound the loop fits a segment's scaling SOMs as one stack per bin
-    count (`rst.fit_scaling_stack`), then induces and scores each step's
-    rules."""
+    The label MSE is at most (max bins - 1)**2: with that bound the loop
+    fits a segment's scaling SOMs as one stack per bin count
+    (`rst.fit_scaling_stack`), then induces and scores each step's rules."""
     def fit_rules(granules, scaling):
         if isinstance(scaling, rst.ScalingError):  # constant attribute or collapsed codebook
             return None
@@ -347,9 +339,8 @@ def run_sorst_as(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
             scalings.update(zip(ts, rst.fit_scaling_stack(tables, bins, seeds)))
         return [fit_rules(granules, scalings[t]) for t, granules, _, _ in steps]
 
-    bins = cfg.bins if isinstance(cfg.bins, tuple) else (cfg.bins,)
-    e_max = max(float(np.std(test.y)), float((max(bins) - 1) ** 2))
-    return _run_loop(train, test, cfg, p, cfg.bins, fit_segment, error_fn, e_max, workers)
+    bound = float((np.max(cfg.bins) - 1) ** 2)
+    return _run_loop(train, test, cfg, p, cfg.bins, fit_segment, error_fn, bound, workers)
 
 
 LAMINAR_CV = 0.05

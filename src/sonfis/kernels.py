@@ -33,7 +33,7 @@ BACKEND = "numpy"  # printed with every benchmark result
 # 93 records the exact loop wins up to 192 at least. At d = 1 the break-even
 # is near 190, at d = 8 below 48.
 PREFILTER_MIN_MD = 108
-# Elements of one (rows, m) block of the prefilter, small enough for cache.
+# Elements of one (rows, m) block of either search, small enough for cache.
 BLOCK_ELEMENTS = 1 << 16
 # Input with a nonzero magnitude below TINY, or a squared row norm above
 # HUGE**2, takes `assign_exact`: within them no product, square or sum
@@ -54,21 +54,22 @@ def assign_bmus(data, protos):
 def assign_exact(data, protos):
     """Squared Euclidean distance, summed one attribute at a time into one
     (n, m) matrix, a sequential order. np.argmin keeps the first (lowest)
-    index on ties. 2-D input is searched in blocks of
-    `BLOCK_ELEMENTS // m` rows: each row's BMU depends on that row alone,
-    so the blocks give the BMUs of one pass, with (rows, m) matrices of
-    about BLOCK_ELEMENTS elements instead of (n, m).
+    index on ties.
 
     Leading axes stack independent searches: `data` (..., n, d) and
     `protos` (..., m, d) give (..., n), each member equal to its own 2-D
-    call. `assign_bmus` stays 2-D, so stacks call this directly."""
-    step = max(1, BLOCK_ELEMENTS // protos.shape[-2])
-    if data.ndim == 2 and data.shape[0] > step:
-        bmus = np.empty(data.shape[0], dtype=np.int64)
-        for lo in range(0, data.shape[0], step):
-            bmus[lo:lo + step] = _exact_pass(data[lo:lo + step], protos)
-        return bmus
-    return _exact_pass(data, protos)
+    call. `assign_bmus` stays 2-D, so stacks call this directly. Every
+    shape is searched in blocks of `BLOCK_ELEMENTS // m` rows along axis -2:
+    each row's BMU depends on that row alone, so the blocks give the BMUs
+    of one pass, with (..., rows, m) matrices of about BLOCK_ELEMENTS
+    elements per member instead of (..., n, m)."""
+    n, step = data.shape[-2], max(1, BLOCK_ELEMENTS // protos.shape[-2])
+    if n <= step:
+        return _exact_pass(data, protos)
+    bmus = np.empty(data.shape[:-1], dtype=np.int64)
+    for lo in range(0, n, step):
+        bmus[..., lo:lo + step] = _exact_pass(data[..., lo:lo + step, :], protos)
+    return bmus
 
 
 def _exact_pass(data, protos):

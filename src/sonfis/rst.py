@@ -49,7 +49,7 @@ class ScalingMap:
 
     def discretize_decision(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
-        return kernels.assign_bmus(y[:, None], self.decision_codebook[:, None])
+        return kernels.assign_exact(y[None, :, None], self.decision_codebook[None, :, None])[0]
 
 
 @dataclass

@@ -76,6 +76,8 @@ BAD_CONFIGS = [
     pytest.param("run-sonfis", {"initial_N": 2}, "$: initial_N must lie", id="initial-n-below-n-min"),
     pytest.param("run-sonfis", {"dataset": {"csv": "data.csv"}}, "$.dataset.decision_column: required",
                  id="csv-without-decision-column"),
+    pytest.param("run-sonfis", {"dataset": {"synthetic": {"n": 120}, "decision_column": "x9"}},
+                 "$.dataset.decision_column: allowed only with 'csv'", id="synthetic-with-decision-column"),
     pytest.param("sweep", {"dataset": {}}, "$.dataset: one of 'csv' or 'synthetic' is required",
                  id="dataset-without-source"),
     # Values that would run with every cell failed or every step a fallback.

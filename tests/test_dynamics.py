@@ -56,6 +56,12 @@ class TestUpdateNeuronCount:
         # 1e308 * 100 is inf; clamping before the floor keeps it an integer.
         assert update_neuron_count(100, 0.0, NoiseParams(1e308, 0, 0), 4, 400) == 400
 
+    @pytest.mark.parametrize("alpha, gamma", [(0.9, 0.5), (0.0, 3.0), (1.5, -2.0)])
+    def test_zero_beta_ignores_even_an_infinite_error(self, alpha, gamma):
+        # 0 * inf is NaN, and the segment planner evaluates an infinite bound.
+        p = NoiseParams(alpha, 0.0, gamma)
+        assert update_neuron_count(40, math.inf, p, 4, 400) == update_neuron_count(40, 0.0, p, 4, 400)
+
     @pytest.mark.parametrize("field, value", [("alpha", math.nan), ("beta", math.inf), ("gamma", -math.inf),
                                               ("alpha", 10**400)],
                              ids=["alpha-nan", "beta-inf", "gamma--inf", "alpha-integer-beyond-float"])
@@ -311,6 +317,31 @@ class TestSegments:
         cfg = LoopConfig(iterations=10, initial_N=40, bins=3, seed=5, som=self.SOM)
         self.check(small_data, cfg, NoiseParams(0.9, 0.001, 0.5), stack_sizes=stack_sizes)
 
+    def test_the_carried_start_bounds_the_segments(self, stack_sizes):
+        # Decisions in [0, 1000]: the start std(test.y) is about 290. With 8
+        # bins on 4 granules every fit raises ScalingError, so E carries the
+        # start, and the law moves N from 4 at E = 290 but not at the fits'
+        # bound E = 49: a segment certified by 49 alone would plan N = 4.
+        rng = np.random.default_rng(1)
+        train, test = split(Dataset(rng.random((140, 3)), rng.uniform(0, 1000, 140)), SplitSpec(100, 40))
+        cfg = LoopConfig(iterations=8, initial_N=4, n_min=4, n_max=20, bins=8, seed=1, som=self.SOM)
+        p = NoiseParams(0.5, 0.01, 2.0)
+        traj, failed = self.check((train, test), cfg, p, stack_sizes=stack_sizes)
+        start = float(np.std(test.y))
+        assert traj.points[0].E == start > 49 and failed >= 1
+        assert update_neuron_count(4, start, p, 4, 20) != update_neuron_count(4, 49.0, p, 4, 20)
+
+    def test_zero_beta_with_an_overflowing_start(self):
+        # std(test.y) overflows to inf, and the bound with it; beta = 0
+        # still certifies every step. The kernels' squares overflow too.
+        rng = np.random.default_rng(0)
+        train, test = split(Dataset(rng.random((60, 3)), rng.uniform(0, 1e200, 60)), SplitSpec(40, 20))
+        cfg = LoopConfig(iterations=3, initial_N=9)
+        p = NoiseParams(0.9, 0.0, 0.5)
+        with np.errstate(over="ignore"):
+            points, _, _ = stepwise_sorst(train, test, cfg, p)
+            assert run_sorst_as(train, test, cfg, p, workers=1).points == points
+
     def test_a_failing_step_raises_its_own_error(self, small_data, monkeypatch):
         train, test = small_data
         cfg = LoopConfig(iterations=10, initial_N=40, bins=3, seed=5, som=self.SOM)
@@ -351,8 +382,7 @@ class TestSonfisBound:
            st.data())
     def test_clipped_rmse_never_exceeds_the_bound(self, train_y, test_y, data):
         """The RMSE `run_sonfis` computes, for any predictions (infinite and
-        huge ones included), is at most `sonfis_error_bound`, and so is the
-        carried start std(test.y)."""
+        huge ones included), is at most `sonfis_error_bound`."""
         train = Dataset(np.zeros((len(train_y), 1)), train_y)
         test = Dataset(np.zeros((len(test_y), 1)), test_y)
         pred = np.array(data.draw(st.lists(st.floats(allow_nan=False), min_size=len(test_y),
@@ -362,7 +392,6 @@ class TestSonfisBound:
         with mock.patch.object(nfis, "predict", lambda fis, X: pred):
             E = nfis.rmse(None, test, train.y.min(), train.y.max())
         assert E <= bound
-        assert float(np.std(test.y)) <= bound
 
     def test_no_bound_where_squares_could_overflow(self):
         train = Dataset(np.zeros((2, 1)), [0.0, 1.0])
@@ -443,16 +472,22 @@ class TestWorkers:
         run_sonfis(*small_data, cfg, NoiseParams(0.9, 0.001, 0.5), workers=2)
         assert 100 * 40 * 6 < dynamics.POOL_MIN_WORK and starts == []
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(4, 400), min_size=1, max_size=40), st.integers(1, 6))
-    def test_groups_balance_the_planned_neurons(self, Ns, k):
-        plan = list(enumerate(Ns, start=1))
-        groups = dynamics._groups(plan, k)
-        assert len(groups) == min(k, len(plan))
-        assert sorted(step for group in groups for step in group) == plan
-        assert all(group == sorted(group) for group in groups)
-        loads = [sum(N for _, N in group) for group in groups]
-        assert max(loads) - min(loads) <= max(Ns)
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0, 2), st.one_of(st.just(0.0), st.floats(0, 1e-3)), st.floats(-10, 10),
+           st.integers(2, 50), st.integers(50, 500), st.floats(0, 100), st.data())
+    def test_round_robin_groups_balance_the_planned_neurons(self, alpha, beta, gamma, n_min, n_max, e_max,
+                                                             data):
+        """A segment's N series is monotone, so dealing its steps
+        round-robin to k groups balances their summed N_t within the
+        largest N_t."""
+        N = data.draw(st.integers(n_min, n_max))
+        cfg = LoopConfig(iterations=40, n_min=n_min, n_max=n_max, initial_N=N)
+        plan = dynamics._segment(1, N, cfg, NoiseParams(alpha, beta, gamma), lambda t: 1, e_max, 1)
+        Ns = [N for _, N in plan]
+        assert Ns == sorted(Ns) or Ns == sorted(Ns, reverse=True)
+        for k in range(2, 7):
+            loads = [sum(Ns[i::k]) for i in range(min(k, len(plan)))]
+            assert max(loads) - min(loads) <= max(Ns)
 
     def test_workers_below_one_rejected(self, small_data):
         with pytest.raises(ValueError, match="workers"):

@@ -374,14 +374,17 @@ def test_stacked_move_prototypes_equals_each_member(stack, m, d):
 
 class TestExactBlocks:
     def test_blocks_give_the_one_pass_bmus(self, monkeypatch):
-        # Ties on a coarse grid; blocks of 3 rows leave a short last block.
+        # Ties on a coarse grid; blocks of 3 rows leave a short last block,
+        # for one search and for a stack of four.
         rng = np.random.default_rng(4)
-        data = rng.integers(0, 3, (50, 2)).astype(np.float64)
-        protos = rng.integers(0, 3, (7, 2)).astype(np.float64)
+        data = rng.integers(0, 3, (4, 50, 2)).astype(np.float64)
+        protos = rng.integers(0, 3, (4, 7, 2)).astype(np.float64)
         whole = kernels._exact_pass(data, protos)
         monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 3 * 7)
         assert np.array_equal(kernels.assign_exact(data, protos), whole)
-        assert np.array_equal(whole, ref_assign(data, protos))
+        assert np.array_equal(kernels.assign_exact(data[0], protos[0]), whole[0])
+        for member in range(4):
+            assert np.array_equal(whole[member], ref_assign(data[member], protos[member]))
 
     def test_exact_search_memory_is_bounded(self):
         # One pass holds two (n, m) float64 matrices, about 54 MiB here.
@@ -395,3 +398,17 @@ class TestExactBlocks:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert np.array_equal(bmus[:1000], kernels._exact_pass(data[:1000], protos))
+
+    def test_stacked_search_memory_is_bounded(self):
+        # One pass holds a (3, n, 8) float64 matrix and its argmin's
+        # temporaries, about 20 MiB here.
+        rng = np.random.default_rng(6)
+        data, protos = rng.random((3, 10**5, 1)), rng.random((3, 8, 1))
+        tracemalloc.start()
+        try:
+            bmus = kernels.assign_exact(data, protos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert np.array_equal(bmus[:, :1000], kernels._exact_pass(data[:, :1000], protos))
