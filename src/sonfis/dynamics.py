@@ -194,7 +194,7 @@ def _pooled(plan, run_steps, workers: int, n_records: int) -> list:
 
 
 def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
-              extras: int | tuple[int, ...], fit_segment, error_fn, bound: float | None,
+              extras: int | tuple[int, ...], fit_segment, error_fn, bound: float,
               workers: int | None) -> Trajectory:
     """The close-open loop both systems share. Step t granulates `train`
     with a SOM of N_t neurons, measures E_t and applies the update law.
@@ -208,18 +208,19 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     layer. Step t seeds the SOM with `derive_seed(seed, 0, t)` and the
     second layer with `derive_seed(seed, 1, t)`.
 
-    `bound`, when given, bounds every E_t a fit returns, so every E_t the
-    loop carries is at most e_max = max(std(test.y), bound). The loop then
-    runs one `_segment` at a time: its N series is known before any fit, so
-    all its SOMs train first, then one `fit_segment` call fits them all,
-    then the steps record their points and apply the law in order. On more
-    than one of `workers` (`pool.worker_count`) a large segment's steps are
-    dealt among forked processes (`_pooled`); each trains its steps' SOMs
-    and fits them, and the points are the same for any `workers`. A segment
-    that raises, a broken pool included, runs again one step at a time, so
-    the exception the step-by-step loop meets escapes. Without `bound`, or
-    with `error_fn` (no bound), every segment is one step, in this
-    process."""
+    `bound` bounds every E_t a fit returns (it may be inf), so every E_t
+    the loop carries is at most e_max = max(std(test.y), bound). The loop
+    then runs one `_segment` at a time: its N series is known before any
+    fit, so all its SOMs train first, then one `fit_segment` call fits them
+    all, then the steps record their points and apply the law in order. On
+    more than one of `workers` (`pool.worker_count`) a large segment's steps
+    are dealt among forked processes (`_pooled`); each trains its steps'
+    SOMs and fits them, and the points are the same for any `workers`. When
+    a segment of several steps raises, a broken pool included, its steps run
+    again one at a time in this process, so the exception the step-by-step
+    loop meets escapes at its own step; the steps are certified open, so
+    their N_t are the plan's. `error_fn` may return any value, so with it
+    every segment is one step, in this process."""
     workers = worker_count(workers)
     if error_fn is not None:
         bound = None
@@ -241,19 +242,16 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     t, N = 1, cfg.initial_N
     E, final_model = float(np.std(test.y)), None
     e_max = None if bound is None else max(E, bound)
-    alone_through = 0  # the last step of a segment that raised
     while t <= cfg.iterations:
-        if e_max is None or t <= alone_through:
-            plan = [(t, N)]
-        else:
-            plan = _segment(t, N, cfg, p, extra_of, e_max, train.X.shape[1] + 1)
+        plan = [(t, N)] if e_max is None else _segment(t, N, cfg, p, extra_of, e_max, train.X.shape[1] + 1)
         try:
             outs = _pooled(plan, run_steps, workers, len(train))
         except Exception:  # any error: the step-by-step run raises it again, at its own step
             if len(plan) == 1:
                 raise
-            alone_through = plan[-1][0]
-            continue
+            outs = None  # rerun below, once the handler has freed the exception and its arrays
+        if outs is None:
+            outs = [run_steps([step])[0] for step in plan]
         for (t_k, _), (live, fitted) in zip(plan, outs):
             if fitted is not None:  # otherwise E carries forward
                 E, final_model = fitted
@@ -261,30 +259,6 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
             N = update_neuron_count(N, E, p, cfg.n_min, cfg.n_max)
         t = plan[-1][0] + 1
     return Trajectory(points, cfg, p, final_model)
-
-
-def sonfis_error_bound(train: Dataset, test: Dataset) -> float | None:
-    """An upper bound on every E_t a `run_sonfis` fit computes; the loop
-    adds its carried start. A prediction clipped to [lo, hi], the training
-    decisions' range, lies within D = max(hi - min(test.y), max(test.y) - lo)
-    of every test decision, and a root mean square is at most the largest
-    term, so the exact clipped RMSE is at most D.
-
-    The computed RMSE rounds each difference and square, the sum of n
-    nonnegative squares (at most n - 1 roundings in any order), the mean
-    and the square root, each by a factor of at most 1 + u, u = 2**-53:
-    it is at most D (1 + u)**((n + 5) / 2). The margin (n + 8) eps =
-    2 (n + 8) u is twice that exponent's need and also covers the roundings
-    of D and of this product. Squares that underflow can round up by
-    2**-1074 each, which moves the square root by less than the absolute
-    2**-500. Below D = 2**500 / sqrt(n) the sum of squares stays under
-    2**1001, so nothing overflows; from there on there is no bound, and
-    None is returned."""
-    lo, hi = float(train.y.min()), float(train.y.max())
-    reach = max(hi - float(test.y.min()), float(test.y.max()) - lo)
-    if not reach < 2.0**500 / math.sqrt(len(test)):
-        return None
-    return reach * (1 + (len(test) + 8) * np.finfo(np.float64).eps) + 2.0**-500
 
 
 def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
@@ -298,8 +272,8 @@ def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     the second layer would fit. Returns the trajectory; the final rule base
     is `trajectory.final_model` (None when the hook is active).
 
-    Each fit's E_t <= `sonfis_error_bound(train, test)`, so the loop
-    certifies its open steps and runs them in segments, on up to `workers`
+    Each fit's E_t <= `nfis.rmse_bound(test, lo, hi)` on that range, so the
+    loop certifies its open steps and runs them in segments, on up to `workers`
     processes (default: one per CPU this process may run on); the
     trajectory and the final rule base are the same for any `workers`."""
     def fit_eval(granules, n_rules, seed):
@@ -313,7 +287,7 @@ def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
         return [fit_eval(granules, n_rules, seed) for _, granules, n_rules, seed in steps]
 
     return _run_loop(train, test, cfg, p, cfg.n_rules, fit_segment, error_fn,
-                     sonfis_error_bound(train, test), workers)
+                     nfis.rmse_bound(test, train.y.min(), train.y.max()), workers)
 
 
 def run_sorst_as(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,

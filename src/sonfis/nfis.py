@@ -192,10 +192,21 @@ def train_hybrid(fis: FuzzyRuleBase, granules: Dataset, params: NfisTrainParams)
     return out
 
 
+def _rms(pred: np.ndarray, y: np.ndarray) -> float:
+    if len(y) == 0:
+        raise ValueError("empty test set")
+    return float(np.sqrt(np.mean((pred - y) ** 2)))
+
+
 def rmse(fis: FuzzyRuleBase, test: Dataset, lo: float = -np.inf, hi: float = np.inf) -> float:
     """Root mean square error over the test set of the system output
     clipped to [lo, hi] (unclipped by default)."""
-    if len(test) == 0:
-        raise ValueError("empty test set")
-    pred = np.clip(predict(fis, test.X), lo, hi)
-    return float(np.sqrt(np.mean((pred - test.y) ** 2)))
+    return _rms(np.clip(predict(fis, test.X), lo, hi), test.y)
+
+
+def rmse_bound(test: Dataset, lo: float, hi: float) -> float:
+    """The largest `rmse(fis, test, lo, hi)` of any `fis`, `inf` where a square overflows:
+    rounding is monotone, so each decision's farther end of [lo, hi] maximizes |fl(pred - y)|,
+    and the squares, the pairwise mean (same length, same order) and sqrt keep that order."""
+    with np.errstate(over="ignore"):
+        return _rms(np.where(test.y - lo < hi - test.y, hi, lo), test.y)

@@ -223,22 +223,30 @@ def classify_rows(rules: RuleSet, X) -> np.ndarray:
     """Discretize raw input rows (n, a), or one vector, and classify each: the first rule in
     rule order whose pattern matches exactly, else the rule at minimal
     Hamming distance (ties toward larger support, then higher decision, then
-    the earlier rule); an empty rule set yields the default."""
+    the earlier rule); an empty rule set yields the default. Each row's
+    label depends on that row alone, so the rows are classified in blocks
+    of `kernels.BLOCK_ELEMENTS // len(rules)`, with (rows, r) distance
+    matrices of about BLOCK_ELEMENTS elements instead of (n, r)."""
     patterns = rules.scaling.discretize_inputs(X)
     r = len(rules)
     if not r:
         return np.full(len(patterns), rules.default_decision, dtype=np.int64)
     descriptors = rules.descriptors
-    dist = np.zeros((len(patterns), r), dtype=np.int64)
-    for j in range(descriptors.shape[1]):
-        dist += patterns[:, j, None] != descriptors[None, :, j]
     # Each rule's priority among equally near ones; lexsort is stable, so
     # rule order breaks the last tie. An exact match keys by rule order
     # alone, below every inexact key dist * r + rank >= r.
     rank = np.empty(r, dtype=np.int64)
     rank[np.lexsort((-rules.decisions, -rules.support))] = np.arange(r)
-    key = np.where(dist == 0, np.arange(r), dist * r + rank)
-    return rules.decisions[key.argmin(axis=1)]
+    labels = np.empty(len(patterns), dtype=rules.decisions.dtype)
+    step = max(1, kernels.BLOCK_ELEMENTS // r)
+    for lo in range(0, len(patterns), step):
+        block = patterns[lo:lo + step]
+        dist = np.zeros((len(block), r), dtype=np.int64)
+        for j in range(descriptors.shape[1]):
+            dist += block[:, j, None] != descriptors[None, :, j]
+        key = np.where(dist == 0, np.arange(r), dist * r + rank)
+        labels[lo:lo + step] = rules.decisions[key.argmin(axis=1)]
+    return labels
 
 
 def classify(rules: RuleSet, x) -> int:

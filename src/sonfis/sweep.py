@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import sys
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -95,26 +95,6 @@ class SweepResult:
     cells: list[CellResult]
 
 
-def _run_task(state, cell_index: int, rep: int):
-    """One (cell, repeat) of a sweep: `(metrics, trajectory or None, None)`,
-    or `(None, None, error)` when it raised. `state` is `(spec, train, test,
-    error_fn, keep_trajectories)`. The loop runs on one worker, so a pooled
-    sweep never starts a pool inside a pool."""
-    spec, train, test, error_fn, keep = state
-    alpha, beta, gamma, extra = spec.grid[cell_index]
-    p = NoiseParams(alpha, beta, gamma)
-    seed = derive_seed(spec.base_config.seed, cell_index, rep)
-    try:
-        if spec.system == "sonfis":
-            cfg, run = replace(spec.base_config, n_rules=extra, seed=seed), run_sonfis
-        else:
-            cfg, run = replace(spec.base_config, bins=extra, seed=seed), run_sorst_as
-        traj = run(train, test, cfg, p, error_fn=error_fn, workers=1)
-        return order_metrics(traj, burn_in=spec.burn_in), traj if keep else None, None
-    except Exception as exc:  # degenerate corners stay local to the cell
-        return None, None, f"{type(exc).__name__}: {exc}"
-
-
 def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
               keep_trajectories: bool = False, error_fn=None, workers: int | None = None) -> SweepResult:
     """Execute every grid cell x repeat. Per-cell failures are recorded in
@@ -131,9 +111,24 @@ def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
     process."""
     grid = spec.grid
     workers = min(worker_count(workers), len(grid) * spec.repeats)
-    state = (spec, train, test, error_fn, keep_trajectories)
     first_failed = [spec.repeats] * len(grid)  # repeat index; repeats when none failed
     outputs: dict[tuple[int, int], tuple] = {}
+
+    def run_task(cell_index: int, rep: int):
+        """One (cell, repeat): `(metrics, trajectory or None, None)`, or
+        `(None, None, error)` when it raised. The loop runs on one worker,
+        so a pooled sweep never starts a pool inside a pool."""
+        alpha, beta, gamma, extra = grid[cell_index]
+        seed = derive_seed(spec.base_config.seed, cell_index, rep)
+        try:
+            if spec.system == "sonfis":
+                cfg, run = replace(spec.base_config, n_rules=extra, seed=seed), run_sonfis
+            else:
+                cfg, run = replace(spec.base_config, bins=extra, seed=seed), run_sorst_as
+            traj = run(train, test, cfg, NoiseParams(alpha, beta, gamma), error_fn=error_fn, workers=1)
+            return order_metrics(traj, burn_in=spec.burn_in), traj if keep_trajectories else None, None
+        except Exception as exc:  # degenerate corners stay local to the cell
+            return None, None, f"{type(exc).__name__}: {exc}"
 
     def tasks():
         for cell_index in range(len(grid)):
@@ -147,10 +142,10 @@ def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
         if output[2] is not None:
             first_failed[cell_index] = min(first_failed[cell_index], rep)
 
-    pool = fork_pool(workers, partial(_run_task, state)) if workers > 1 else None
+    pool = fork_pool(workers, run_task) if workers > 1 else None
     if pool is None:
         for task in tasks():
-            record(*task, _run_task(state, *task))
+            record(*task, run_task(*task))
     else:
         from concurrent.futures import FIRST_COMPLETED, wait
         with pool:

@@ -219,6 +219,37 @@ def stepwise_sorst(train, test, cfg, p, error_fn=None):
     return points, model, failed
 
 
+def stepwise_sonfis(train, test, cfg, p):
+    """SONFIS one step at a time through the layers' own calls: the
+    reference for `run_sonfis`. Returns the points and the last rule base."""
+    points, N = [], cfg.initial_N
+    E, model = float(np.std(test.y)), None
+    for t in range(1, cfg.iterations + 1):
+        dims = grid_dims(N)
+        granules = extract_granules(train_som(train, dims, cfg.som, derive_seed(cfg.seed, 0, t)), train)
+        if len(granules) >= cfg.n_rules:
+            model = nfis.init_rulebase(granules, cfg.n_rules, seed=derive_seed(cfg.seed, 1, t))
+            model = nfis.train_hybrid(model, granules, cfg.nfis)
+            E = nfis.rmse(model, test, train.y.min(), train.y.max())
+        points.append(TrajectoryPoint(t, N, *dims, len(granules), E, cfg.n_rules))
+        N = update_neuron_count(N, E, p, cfg.n_min, cfg.n_max)
+    return points, model
+
+
+@pytest.fixture
+def segment_sizes(monkeypatch):
+    """The number of steps in each segment the loop runs."""
+    sizes = []
+    pooled = dynamics._pooled
+
+    def counted(plan, *args):
+        sizes.append(len(plan))
+        return pooled(plan, *args)
+
+    monkeypatch.setattr(dynamics, "_pooled", counted)
+    return sizes
+
+
 @pytest.fixture
 def stack_sizes(monkeypatch):
     """The number of tables in each `rst.fit_scaling_stack` call."""
@@ -382,21 +413,37 @@ class TestSonfisBound:
            st.data())
     def test_clipped_rmse_never_exceeds_the_bound(self, train_y, test_y, data):
         """The RMSE `run_sonfis` computes, for any predictions (infinite and
-        huge ones included), is at most `sonfis_error_bound`."""
-        train = Dataset(np.zeros((len(train_y), 1)), train_y)
+        huge ones included), is at most `nfis.rmse_bound`, also where the
+        squares overflow."""
+        lo, hi = min(train_y), max(train_y)
         test = Dataset(np.zeros((len(test_y), 1)), test_y)
         pred = np.array(data.draw(st.lists(st.floats(allow_nan=False), min_size=len(test_y),
                                            max_size=len(test_y))))
-        bound = dynamics.sonfis_error_bound(train, test)
-        assume(bound is not None)  # decisions so far apart that a square could overflow
-        with mock.patch.object(nfis, "predict", lambda fis, X: pred):
-            E = nfis.rmse(None, test, train.y.min(), train.y.max())
-        assert E <= bound
+        with np.errstate(over="ignore"), mock.patch.object(nfis, "predict", lambda fis, X: pred):
+            E = nfis.rmse(None, test, lo, hi)
+        assert E <= nfis.rmse_bound(test, lo, hi)
+
+    def test_predictions_at_the_far_ends_reach_the_bound(self):
+        rng = np.random.default_rng(4)
+        lo, hi = 0.1, 0.9
+        test = Dataset(np.zeros((97, 1)), rng.uniform(-0.5, 1.5, 97))
+        far = np.where(test.y - lo < hi - test.y, hi, lo)
+        with mock.patch.object(nfis, "predict", lambda fis, X: far):
+            assert nfis.rmse(None, test, lo, hi) == nfis.rmse_bound(test, lo, hi)
 
     def test_no_bound_where_squares_could_overflow(self):
-        train = Dataset(np.zeros((2, 1)), [0.0, 1.0])
-        assert dynamics.sonfis_error_bound(train, Dataset(np.zeros((2, 1)), [0.0, 1e200])) is None
-        assert dynamics.sonfis_error_bound(train, Dataset(np.zeros((2, 1)), [-1.7e308, 1.7e308])) is None
+        """`inf`, which certifies only a step the law would hold at n_max or
+        that ignores E (beta = 0)."""
+        assert nfis.rmse_bound(Dataset(np.zeros((2, 1)), [0.0, 1e200]), 0.0, 1.0) == np.inf
+        assert nfis.rmse_bound(Dataset(np.zeros((2, 1)), [-1.7e308, 1.7e308]), 0.0, 1.0) == np.inf
+
+    def test_empty_test_set_rejected(self):
+        empty = Dataset(np.zeros((0, 1)), np.zeros(0))
+        fis = nfis.FuzzyRuleBase(np.zeros((2, 1)), np.ones((2, 1)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="^empty test set$"):
+            nfis.rmse(fis, empty)
+        with pytest.raises(ValueError, match="^empty test set$"):
+            nfis.rmse_bound(empty, 0.0, 1.0)
 
 
 @pytest.fixture
@@ -488,6 +535,45 @@ class TestWorkers:
         for k in range(2, 7):
             loads = [sum(Ns[i::k]) for i in range(min(k, len(plan)))]
             assert max(loads) - min(loads) <= max(Ns)
+
+    @pytest.mark.parametrize("beta, sizes", [(0.001, [20]), (0.2, [2, 3, 14, 1]),
+                                             (1.0, [1, 1, 2, 1, 2, 1, 1, 1, 4, 1, 1, 1, 1, 1, 1])])
+    def test_sonfis_equals_its_step_by_step_reference(self, small_data, pool_starts, segment_sizes, beta,
+                                                      sizes):
+        """Certified steps train at the N_t of the step-by-step loop: a bound
+        too small would plan a coupled step as open, at a wrong N_t."""
+        cfg = LoopConfig(iterations=20, initial_N=40, seed=5, som=self.SOM)
+        p = NoiseParams(0.9, beta, 0.5)
+        points, model = stepwise_sonfis(*small_data, cfg, p)
+        for workers in (1, 2):
+            traj = run_sonfis(*small_data, cfg, p, workers=workers)
+            assert traj.points == points and traj.final_model.to_dict() == model.to_dict()
+        assert segment_sizes == sizes * 2
+        assert len(pool_starts) == sum(size > 1 for size in sizes)
+
+    @pytest.mark.parametrize("shifted, beta, sizes", [(True, 0.1, [2, 3, 4, 1, 1, 1, 7, 1]), (False, 0.0, [20]),
+                                                      (False, 0.2, [1] * 20)],
+                             ids=["shifted", "infinite-open", "infinite-coupled"])
+    def test_sonfis_beyond_the_training_range(self, small_data, pool_starts, segment_sizes, shifted, beta,
+                                              sizes):
+        """Test decisions outside the training range. Shifted by 4, every
+        E_t is near the bound, about 4.5, so a bound half as large would
+        plan coupled steps as open. With one decision at 1e200 the bound's
+        squares and every E_t overflow to inf: beta = 0 still certifies
+        every step, and beta = 0.2 none."""
+        train, test = small_data
+        y = test.y + 4.0 if shifted else np.where(np.arange(len(test)) == 3, 1e200, test.y)
+        test = Dataset(test.X, y)
+        cfg = LoopConfig(iterations=20, initial_N=40, n_max=60, seed=5, som=self.SOM)
+        p = NoiseParams(0.9, beta, 0.5)
+        with np.errstate(over="ignore"):
+            points, _ = stepwise_sonfis(train, test, cfg, p)
+            for workers in (1, 2):
+                assert run_sonfis(train, test, cfg, p, workers=workers).points == points
+        bound = nfis.rmse_bound(test, train.y.min(), train.y.max())
+        assert 4 < bound < 5 if shifted else bound == np.inf
+        assert segment_sizes == sizes * 2
+        assert len(pool_starts) == sum(size > 1 for size in sizes)
 
     def test_workers_below_one_rejected(self, small_data):
         with pytest.raises(ValueError, match="workers"):

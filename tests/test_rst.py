@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sonfis import kernels
 from sonfis.dataset import Dataset
 from sonfis.rst import (
     SCALING_SOM,
@@ -532,6 +534,22 @@ class TestClassifierParity:
                         np.array([2, 1, 0]), np.array([9, 1, 5]), np.ones(3, dtype=bool), self.SCALING, 2)
         x = [0.0, 0.1, 0.2]
         assert classify(rules, x) == ref_classify(rules, x) == 1
+
+    def test_row_blocks_bound_memory(self, monkeypatch):
+        # One pass holds (n, r) int64 distance and key matrices and their
+        # temporaries, about 240 MiB here.
+        rng = np.random.default_rng(3)
+        rules = self.random_rules(rng, 100)
+        X = rng.integers(0, 5, (10**5, 3)) / 4.0
+        tracemalloc.start()
+        try:
+            labels = classify_rows(rules, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**40)  # the first 5000 rows in one pass
+        assert np.array_equal(labels[:5000], classify_rows(rules, X[:5000]))
 
     def test_empty_rule_set_gives_default(self):
         empty = np.empty(0, dtype=np.int64)
