@@ -25,7 +25,10 @@ from . import kernels, nfis, rst
 from .dataset import Dataset, check_field, check_fields, derive_seed
 from .nfis import NfisTrainParams
 from .pool import call, fork_pool, worker_count
-from .som import MAX_NEURONS, SomParams, extract_granules, grid_dims, train_som
+from .som import MAX_NEURONS, SomParams, extract_granules, grid_dims, train_som, train_som_stack  # noqa: F401
+
+# `train_som` is imported only so that `dynamics.train_som` still resolves:
+# perfbench/layers.py wraps it by that name on every traced workload.
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,9 @@ def _segment(t: int, N: int, cfg: LoopConfig, p: NoiseParams, extra_of, e_max: f
 
 # Segment work, `len(train) * sum(N_t)` over its steps, from which the
 # loop runs a segment on forked workers. A 2-worker fork pool costs about
-# 8-10 ms, so pooling pays once a serial segment takes about 25 ms.
+# 6 ms (a pooled segment of two trivial steps, in a process holding
+# sonfis-large's inputs: 5.9-6.5 ms, median of 40), so pooling pays once
+# a serial segment takes about 25 ms.
 # Measured with one BLAS thread on 2 vCPUs, fastest of 15 alternating
 # rounds, serial / pooled ms ("break_even" in `BENCH_step_pool.json`):
 # from 115,200 to 345,600 segments split both ways (SONFIS, 600 records x
@@ -177,7 +182,13 @@ def _pooled(plan, run_steps, workers: int, n_records: int) -> list:
     N_t. Serial when `workers` is 1, the plan has one step, its work is
     below POOL_MIN_WORK or fork is unavailable. Each step's result depends
     on its own (t, N_t) alone, so the results, put back in step order, are
-    those of the serial call."""
+    those of the serial call.
+
+    The pool is shut down without waiting once its tasks are submitted, so
+    its own thread ends each worker when the last result is in, while this
+    process may still compute. The `with` exit then waits for nothing: when
+    a worker's group ends last, the worker and the pool's threads outlive
+    the call by the few ms of its exit."""
     k = min(workers, len(plan))
     pool = None
     if k > 1 and n_records * sum(N for _, N in plan) >= POOL_MIN_WORK:
@@ -187,6 +198,7 @@ def _pooled(plan, run_steps, workers: int, n_records: int) -> list:
     outs = [None] * len(plan)
     with pool:
         futures = [pool.submit(call, plan[i::k]) for i in range(1, k)]
+        pool.shutdown(wait=False)
         outs[0::k] = run_steps(plan[0::k])
         for i, future in enumerate(futures, start=1):
             outs[i::k] = future.result()
@@ -211,11 +223,12 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     `bound` bounds every E_t a fit returns (it may be inf), so every E_t
     the loop carries is at most e_max = max(std(test.y), bound). The loop
     then runs one `_segment` at a time: its N series is known before any
-    fit, so all its SOMs train first, then one `fit_segment` call fits them
-    all, then the steps record their points and apply the law in order. On
-    more than one of `workers` (`pool.worker_count`) a large segment's steps
-    are dealt among forked processes (`_pooled`); each trains its steps'
-    SOMs and fits them, and the points are the same for any `workers`. When
+    fit, so all its SOMs train first, one `som.train_som_stack` per
+    distinct N_t, then one `fit_segment` call fits them all, then the steps
+    record their points and apply the law in order. On more than one of
+    `workers` (`pool.worker_count`) a large segment's steps are dealt
+    among forked processes (`_pooled`); each trains its steps' SOMs and
+    fits them, and the points are the same for any `workers`. When
     a segment of several steps raises, a broken pool included, its steps run
     again one at a time in this process, so the exception the step-by-step
     loop meets escapes at its own step; the steps are certified open, so
@@ -231,11 +244,16 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
         return extras[t - 1] if isinstance(extras, tuple) else extras
 
     def run_steps(plan):
-        """Each planned step's live granule count and fit."""
-        steps = []
+        """Each planned step's live granule count and fit. The steps' SOMs
+        of one N train as one stack."""
+        steps_of, grids = {}, {}
         for t, N in plan:
-            grid = train_som(train, grid_dims(N), cfg.som, derive_seed(cfg.seed, 0, t))
-            steps.append((t, extract_granules(grid, train), extra_of(t), derive_seed(cfg.seed, 1, t)))
+            steps_of.setdefault(N, []).append(t)
+        for N, ts in steps_of.items():
+            seeds = [derive_seed(cfg.seed, 0, t) for t in ts]
+            grids.update(zip(ts, train_som_stack(train, grid_dims(N), cfg.som, seeds)))
+        steps = [(t, extract_granules(grids[t], train), extra_of(t), derive_seed(cfg.seed, 1, t))
+                 for t, _ in plan]
         return [(len(granules), fitted) for (_, granules, _, _), fitted in zip(steps, fit_segment(steps))]
 
     points: list[TrajectoryPoint] = []

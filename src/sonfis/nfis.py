@@ -100,7 +100,9 @@ def _firing(fis: FuzzyRuleBase, X: np.ndarray) -> np.ndarray:
 
 def _consequent_values(fis: FuzzyRuleBase, X: np.ndarray) -> np.ndarray:
     """Per-rule linear consequent outputs, (n, R)."""
-    return X @ fis.coeffs[:, :-1].T + fis.coeffs[:, -1]
+    f = X @ fis.coeffs[:, :-1].T
+    f += fis.coeffs[:, -1]
+    return f
 
 
 def _defuzzify(w: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,12 +119,23 @@ def _defuzzify(w: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 def predict(fis: FuzzyRuleBase, X: np.ndarray) -> np.ndarray:
     """Weighted-average defuzzification over all rules; rows whose total
     firing strength underflows to zero fall back to the consequent of the
-    rule with the nearest center (ties to the lower rule index)."""
+    rule with the nearest center (ties to the lower rule index).
+
+    A row's firing, output and fallback depend on that row alone, so they
+    are computed in blocks of `kernels.BLOCK_ELEMENTS // (R * d)` rows,
+    with (rows, R, d) temporaries instead of (n, R, d). The (n, R)
+    consequent values are one product over all rows: BLAS may round a row
+    of a product with fewer rows otherwise."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     f = _consequent_values(fis, X)
-    out, _, ok = _defuzzify(_firing(fis, X), f)
-    if not ok.all():
-        out[~ok] = f[~ok, kernels.assign_bmus(X[~ok], fis.centers)]
+    out = np.empty(len(X))
+    step = max(1, kernels.BLOCK_ELEMENTS // fis.centers.size)
+    for lo in range(0, len(X), step):
+        Xb, fb = X[lo:lo + step], f[lo:lo + step]
+        yb, _, ok = _defuzzify(_firing(fis, Xb), fb)
+        if not ok.all():
+            yb[~ok] = fb[~ok, kernels.assign_bmus(Xb[~ok], fis.centers)]
+        out[lo:lo + step] = yb
     return out
 
 

@@ -111,16 +111,31 @@ def _neighbourhoods(n1: int, n2: int, params: SomParams):
 
 
 def train_som(train: Dataset, dims: tuple[int, int], params: SomParams, seed: int) -> SomGrid:
+    (grid,) = train_som_stack(train, dims, params, [seed])
+    return grid
+
+
+def train_som_stack(train: Dataset, dims: tuple[int, int], params: SomParams, seeds) -> list[SomGrid]:
+    """One SOM of `dims` on `train` per entry of `seeds`, all trained in
+    lock-step: each epoch draws one neighbourhood matrix, which depends on
+    the grid and the epoch alone, and moves the (k, N, d) prototype stack
+    with one `kernels.move_prototypes`. Each member searches and sums the
+    records on its own, so member i equals, bit for bit, the SOM of
+    `train_som` with `seeds[i]`; the stack holds prototypes, sums and
+    counts, never a copy of the records per member."""
     if len(train) == 0:
         raise ValueError("cannot train a SOM on an empty dataset")
     n1, n2 = dims
     N = n1 * n2
-    protos = _initial_prototypes(train.distinct_X, N, seed)
+    protos = np.stack([_initial_prototypes(train.distinct_X, N, seed) for seed in seeds])
+    sums, counts = np.empty_like(protos), np.empty(protos.shape[:2])
+    members = list(zip(protos, sums, counts))  # views, made once
     for H in _neighbourhoods(n1, n2, params):
-        bmus = kernels.assign_bmus(train.X, protos)
-        sums, counts = kernels.accumulate_by_bmu(train.X, bmus, N)
+        for member, member_sums, member_counts in members:
+            bmus = kernels.assign_bmus(train.X, member)
+            member_sums[...], member_counts[...] = kernels.accumulate_by_bmu(train.X, bmus, N)
         kernels.move_prototypes(protos, H, sums, counts)
-    return SomGrid(n1, n2, protos)
+    return [SomGrid(n1, n2, member) for member in protos]
 
 
 def train_column_soms(columns, units: int, params: SomParams, seeds) -> np.ndarray:

@@ -107,8 +107,9 @@ def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
     (`pool.worker_count`; capped at the task count). With more than one
     worker the tasks run in a `pool.fork_pool`, whose workers inherit the
     inputs and `error_fn`, so a lambda stub works; at most two tasks per
-    worker are in flight. Where fork is unavailable the tasks run in this
-    process."""
+    worker are in flight; once the last is submitted the pool is shut down
+    without waiting, so its workers exit as soon as the last result is in.
+    Where fork is unavailable the tasks run in this process."""
     grid = spec.grid
     workers = min(worker_count(workers), len(grid) * spec.repeats)
     first_failed = [spec.repeats] * len(grid)  # repeat index; repeats when none failed
@@ -155,6 +156,8 @@ def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
                     pending[pool.submit(call, *task)] = task
                     if len(pending) >= 2 * workers:
                         break
+                else:  # every task is submitted
+                    pool.shutdown(wait=False)
                 if not pending:
                     break
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)

@@ -251,6 +251,20 @@ def segment_sizes(monkeypatch):
 
 
 @pytest.fixture
+def som_stacks(monkeypatch):
+    """The number of SOMs in each `train_som_stack` call of this process."""
+    sizes = []
+    stack = dynamics.train_som_stack
+
+    def counted(train, dims, params, seeds):
+        sizes.append(len(seeds))
+        return stack(train, dims, params, seeds)
+
+    monkeypatch.setattr(dynamics, "train_som_stack", counted)
+    return sizes
+
+
+@pytest.fixture
 def stack_sizes(monkeypatch):
     """The number of tables in each `rst.fit_scaling_stack` call."""
     sizes = []
@@ -373,22 +387,38 @@ class TestSegments:
             points, _, _ = stepwise_sorst(train, test, cfg, p)
             assert run_sorst_as(train, test, cfg, p, workers=1).points == points
 
-    def test_a_failing_step_raises_its_own_error(self, small_data, monkeypatch):
+    def failing_at_4(self, small_data, monkeypatch, p):
+        """Runs SORST-AS with the SOMs of step 4 raising, and returns the
+        steps of each SOM stack the loop trained."""
         train, test = small_data
         cfg = LoopConfig(iterations=10, initial_N=40, bins=3, seed=5, som=self.SOM)
         seeds = {derive_seed(cfg.seed, 0, t): t for t in range(1, 11)}
         trained = []
+        stack = dynamics.train_som_stack
 
-        def failing_at_4(data, dims, params, seed):
-            trained.append(seeds[seed])
-            if seeds[seed] == 4:
+        def failing(data, dims, params, stack_seeds):
+            steps = [seeds[seed] for seed in stack_seeds]
+            trained.append(steps)
+            if 4 in steps:
                 raise ValueError("step 4")
-            return train_som(data, dims, params, seed)
+            return stack(data, dims, params, stack_seeds)
 
-        monkeypatch.setattr(dynamics, "train_som", failing_at_4)
+        monkeypatch.setattr(dynamics, "train_som_stack", failing)
         with pytest.raises(ValueError, match="^step 4$"):
-            run_sorst_as(train, test, cfg, NoiseParams(0.9, 0.001, 0.5), workers=1)
-        assert trained == [1, 2, 3, 4, 1, 2, 3, 4]  # the segment, then step by step
+            run_sorst_as(train, test, cfg, p, workers=1)
+        return trained
+
+    def test_a_failing_step_raises_its_own_error(self, small_data, monkeypatch):
+        # N runs 40, 36, 32, 29, ...: one stack per step.
+        trained = self.failing_at_4(small_data, monkeypatch, NoiseParams(0.9, 0.001, 0.5))
+        assert [t for steps in trained for t in steps] == [1, 2, 3, 4, 1, 2, 3, 4]  # the segment, then step by step
+        assert all(len(steps) == 1 for steps in trained)
+
+    def test_a_failing_stack_of_equal_N_raises_at_its_own_step(self, small_data, monkeypatch):
+        # N holds at 40: the segment's ten steps are one stack, which raises;
+        # the steps then run one at a time, and step 4 raises again.
+        trained = self.failing_at_4(small_data, monkeypatch, NoiseParams(0.5, 0.001, 20.0))
+        assert trained == [list(range(1, 11)), [1], [2], [3], [4]]
 
 
 class TestOpenSteps:
@@ -574,6 +604,30 @@ class TestWorkers:
         assert 4 < bound < 5 if shifted else bound == np.inf
         assert segment_sizes == sizes * 2
         assert len(pool_starts) == sum(size > 1 for size in sizes)
+
+    @pytest.mark.parametrize("p, Ns, stacks", [
+        # 40, 20, 10, 5, then pinned at n_min = 4: below the prefilter's
+        # threshold.
+        (NoiseParams(0.5, 0.001, 0.5), [40, 20, 10, 5] + [4] * 8, ([1, 1, 1, 1, 8], [1, 1, 4])),
+        # Held at 40: N * d = 120 takes the prefilter.
+        (NoiseParams(0.5, 0.001, 20.0), [40] * 12, ([12], [6])),
+    ], ids=["pinned-at-n-min", "held-at-40"])
+    def test_equal_N_stacks_equal_their_step_by_step_references(self, small_data, pool_starts, som_stacks, p, Ns,
+                                                                stacks):
+        """A segment's, or a pooled group's, steps of one N train as one
+        stack (this process runs the first of two groups)."""
+        cfg = LoopConfig(iterations=12, initial_N=40, n_min=4, seed=5, som=self.SOM)
+        points, model = stepwise_sonfis(*small_data, cfg, p)
+        rough_points, rough_model, _ = stepwise_sorst(*small_data, cfg, p)
+        assert [pt.N for pt in points] == [pt.N for pt in rough_points] == Ns
+        for workers, want in zip((1, 2), stacks):
+            som_stacks.clear()
+            traj = run_sonfis(*small_data, cfg, p, workers=workers)
+            assert traj.points == points and traj.final_model.to_dict() == model.to_dict()
+            traj = run_sorst_as(*small_data, cfg, p, workers=workers)
+            assert traj.points == rough_points and traj.final_model.to_dict() == rough_model.to_dict()
+            assert som_stacks == want * 2
+        assert len(pool_starts) == 2
 
     def test_workers_below_one_rejected(self, small_data):
         with pytest.raises(ValueError, match="workers"):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sonfis import nfis
+from sonfis import kernels, nfis
 from sonfis.dataset import Dataset
 from sonfis.nfis import (
     WIDTH_FLOOR_INIT,
@@ -199,6 +201,53 @@ class TestInfer:
         y = predict(fis, X)
         assert (y >= f.min(axis=1) - 1e-12).all()
         assert (y <= f.max(axis=1) + 1e-12).all()
+
+
+def one_pass_predict(fis, X):
+    """`predict` over all rows at once, as it was before its row blocks."""
+    f = X @ fis.coeffs[:, :-1].T + fis.coeffs[:, -1]
+    z = (X[:, None, :] - fis.centers[None, :, :]) / fis.widths[None, :, :]
+    w = np.exp(-0.5 * (z**2).sum(axis=2))
+    sw = w.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = (w * f).sum(axis=1) / sw
+    ok = sw > 0
+    out[~ok] = f[~ok, kernels.assign_bmus(X[~ok], fis.centers)]
+    return out
+
+
+class TestPredictBlocks:
+    @pytest.mark.parametrize("n, R, d, block", [(50, 3, 2, 42), (52, 3, 2, 42), (97, 5, 3, 105), (10, 4, 8, 96),
+                                                (200, 25, 3, 1000), (301, 2, 9, 36), (5, 7, 2, 1)])
+    def test_blocks_give_the_one_pass_output(self, monkeypatch, n, R, d, block):
+        # Narrow rules leave some rows firing nothing, so the nearest-center
+        # fallback runs inside blocks; each size leaves a short last block,
+        # and a block below one row's R * d elements holds one row.
+        rng = np.random.default_rng(n)
+        fis = FuzzyRuleBase(rng.random((R, d)), rng.uniform(0.005, 0.1, (R, d)), rng.normal(0, 1, (R, d + 1)))
+        X = fis.centers[rng.integers(0, R, n)] + rng.normal(0, 0.05, (n, d)) + rng.choice([0.0, 6.0], (n, 1))
+        fires = _firing(fis, X).sum(axis=1) > 0
+        assert fires.any() and not fires.all()
+        monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
+        rows = max(1, block // (R * d))
+        assert rows == 1 or n % rows != 0
+        assert predict(fis, X).tobytes() == one_pass_predict(fis, X).tobytes()
+
+    def test_rmse_memory_is_bounded(self):
+        # One pass held (n, R, d) temporaries: 152.6 MiB here. What is left
+        # is mostly the (n, R) consequent values, 19.1 MiB.
+        rng = np.random.default_rng(3)
+        fis = FuzzyRuleBase(rng.random((25, 3)), np.full((25, 3), 0.2), rng.normal(0, 1, (25, 4)))
+        test = Dataset(rng.random((10**5, 3)), rng.random(10**5))
+        tracemalloc.start()
+        try:
+            E = rmse(fis, test, 0.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+        pred = np.clip(one_pass_predict(fis, test.X), 0.0, 1.0)
+        assert E == float(np.sqrt(np.mean((pred - test.y) ** 2)))
 
 
 class TestTrainHybrid:

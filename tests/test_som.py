@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from sonfis import kernels
 from sonfis.dataset import Dataset, gen_synthetic, min_max_normalize
 from sonfis.rst import SCALING_SOM
-from sonfis.som import (SomGrid, SomParams, _neighbourhoods, extract_granules, grid_dims, quantization_error,
-                        train_som)
+from sonfis.som import (SomGrid, SomParams, _initial_prototypes, _neighbourhoods, extract_granules, grid_dims,
+                        quantization_error, train_som, train_som_stack)
 
 
 def brute_force_dims(N):
@@ -166,6 +166,59 @@ class TestNeighbourhoods:
         finally:
             tracemalloc.stop()
         assert peak < 160 * 2**20
+
+
+def reference_som(train, dims, params, seed):
+    """One SOM's batch loop written out, with the update of
+    `kernels.move_prototypes` spelled as the batch formula: the reference
+    for every member of `train_som_stack`."""
+    n1, n2 = dims
+    N = n1 * n2
+    protos = _initial_prototypes(train.distinct_X, N, seed)
+    for H in _neighbourhoods(n1, n2, params):
+        bmus = kernels.assign_bmus(train.X, protos)
+        sums, counts = kernels.accumulate_by_bmu(train.X, bmus, N)
+        numer, denom = H @ sums, H @ counts
+        live = denom > 0
+        protos[live] = numer[live] / denom[live, None]
+    return protos
+
+
+class TestTrainSomStack:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.one_of(st.integers(4, 35), st.integers(36, 100)), st.integers(1, 60),
+           st.booleans(), st.integers(1, 4), st.data())
+    def test_each_member_equals_its_own_loop(self, k, N, n, coarse, epochs, data):
+        """N on both sides of the prefilter's threshold at d = 3; coarse
+        records repeat rows and tie distances, and a SOM may have more
+        neurons than distinct records."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = rng.integers(0, 3, (n, 3)) / 2 if coarse else rng.random((n, 3))
+        ds = Dataset(np.vstack([X, X[:n // 2]]), np.zeros(n + n // 2))
+        seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=k, max_size=k))
+        dims, params = grid_dims(N), SomParams(epochs=epochs)
+        grids = train_som_stack(ds, dims, params, seeds)
+        assert len(grids) == k
+        for grid, seed in zip(grids, seeds):
+            assert (grid.n1, grid.n2) == dims
+            assert grid.prototypes.tobytes() == reference_som(ds, dims, params, seed).tobytes()
+            assert grid.prototypes.tobytes() == train_som(ds, dims, params, seed).prototypes.tobytes()
+
+    def test_the_stack_holds_no_copy_of_the_records_per_member(self):
+        # 32 members on 20,000 records: the records are searched in place,
+        # so the peak is that of one member's search and sums.
+        rng = np.random.default_rng(8)
+        ds = Dataset(rng.random((20_000, 3)), np.zeros(20_000))
+        ds.distinct_X  # the one sort, shared by every SOM on `ds`
+        peaks = []
+        for k in (1, 32):
+            tracemalloc.start()
+            try:
+                train_som_stack(ds, (2, 2), SomParams(epochs=2), list(range(k)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**20
 
 
 class TestTrainSomCaches:
