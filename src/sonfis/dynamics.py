@@ -143,7 +143,7 @@ def _segment(t: int, N: int, cfg: LoopConfig, p: NoiseParams, extra_of, e_max: f
     so no fit could change N_{t+1}. The law at E = 0 is monotone in N too
     (alpha >= 0), so the segment's N series is monotone. The steps'
     `width * N_t * extra_of(t)` (SORST-AS's stacked scaling search; for
-    SONFIS it bounds the granules and rule bases a segment holds) add up to
+    SONFIS it bounds the stacked fit's design, granules x R * (d + 1)) add up to
     at most `kernels.BLOCK_ELEMENTS`, or the segment is step t alone."""
     plan, size = [], 0
     while t <= cfg.iterations:
@@ -164,12 +164,14 @@ def _segment(t: int, N: int, cfg: LoopConfig, p: NoiseParams, extra_of, e_max: f
 # sonfis-large's inputs: 5.9-6.5 ms, median of 40), so pooling pays once
 # a serial segment takes about 25 ms.
 # Measured with one BLAS thread on 2 vCPUs, fastest of 15 alternating
-# rounds, serial / pooled ms ("break_even" in `BENCH_step_pool.json`):
+# rounds, serial / pooled ms ("break_even" in `BENCH_step_pool.json`; the
+# SONFIS rows again with stacked fuzzy fits in `BENCH_nfis_stacks.json`):
 # from 115,200 to 345,600 segments split both ways (SONFIS, 600 records x
-# 144 neurons x 3 steps, work 259,200: 13.4 / 17.0; 4500 x 16 x 3,
-# 216,000: 45.4 / 39.4); from 518,400 to 600,000 they tied or gained
-# (600 x 144 x 6: 33.0 / 24.9; SORST-AS 4500 x 64 x 2, 576,000:
-# 20.0 / 22.6 at medians of 25.1 / 25.1), and at 1,296,000 both gained.
+# 144 neurons x 3 steps, work 259,200: 11.9 / 16.1; 4500 x 16 x 3,
+# 216,000: 35.1 / 30.4); from 518,400 to 604,800 they tied or gained
+# (600 x 144 x 6: 22.9 / 22.8; 600 x 144 x 7, 604,800: 26.5 / 24.4;
+# SORST-AS 4500 x 64 x 2, 576,000: 20.0 / 22.6 at medians of 25.1 / 25.1),
+# and at 1,296,000 both gained.
 POOL_MIN_WORK = 2**19
 
 
@@ -293,19 +295,21 @@ def run_sonfis(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     Each fit's E_t <= `nfis.rmse_bound(test, lo, hi)` on that range, so the
     loop certifies its open steps and runs them in segments, on up to `workers`
     processes (default: one per CPU this process may run on); the
-    trajectory and the final rule base are the same for any `workers`."""
-    def fit_eval(granules, n_rules, seed):
-        if len(granules) < n_rules:
-            return None
-        fis = nfis.init_rulebase(granules, n_rules, seed=seed)
-        fis = nfis.train_hybrid(fis, granules, cfg.nfis)
-        return nfis.rmse(fis, test, train.y.min(), train.y.max()), fis
+    trajectory and the final rule base are the same for any `workers`. A
+    segment's steps with enough granules seed their rule bases by k-means
+    one at a time, train them as one `nfis.train_hybrid_stack` and score
+    them one at a time."""
+    lo, hi = train.y.min(), train.y.max()
 
     def fit_segment(steps):
-        return [fit_eval(granules, n_rules, seed) for _, granules, n_rules, seed in steps]
+        fits = {t: (granules, nfis.init_rulebase(granules, n_rules, seed=seed))
+                for t, granules, n_rules, seed in steps if len(granules) >= n_rules}
+        trained = dict(zip(fits, nfis.train_hybrid_stack([fis for _, fis in fits.values()],
+                                                         [granules for granules, _ in fits.values()], cfg.nfis)))
+        return [(nfis.rmse(trained[t], test, lo, hi), trained[t]) if t in trained else None for t, *_ in steps]
 
-    return _run_loop(train, test, cfg, p, cfg.n_rules, fit_segment, error_fn,
-                     nfis.rmse_bound(test, train.y.min(), train.y.max()), workers)
+    return _run_loop(train, test, cfg, p, cfg.n_rules, fit_segment, error_fn, nfis.rmse_bound(test, lo, hi),
+                     workers)
 
 
 def run_sorst_as(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,

@@ -7,6 +7,7 @@ premises) on the crisp granules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,9 +93,10 @@ def init_rulebase(granules: Dataset, n_rules: int, seed: int) -> FuzzyRuleBase:
     return FuzzyRuleBase(centers, widths, np.zeros((n_rules, X.shape[1] + 1)))
 
 
-def _firing(fis: FuzzyRuleBase, X: np.ndarray) -> np.ndarray:
-    """Rule firing strengths, (n, R); product of Gaussian memberships."""
-    z = (X[:, None, :] - fis.centers[None, :, :]) / fis.widths[None, :, :]
+def _firing(centers: np.ndarray, widths: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Rule firing strengths, (n, R); product of Gaussian memberships. The
+    rules are `centers` and `widths`, (R, d) for every row or (n, R, d) per row."""
+    z = (X[:, None, :] - centers) / widths
     return np.exp(-0.5 * (z**2).sum(axis=2))
 
 
@@ -132,77 +134,143 @@ def predict(fis: FuzzyRuleBase, X: np.ndarray) -> np.ndarray:
     step = max(1, kernels.BLOCK_ELEMENTS // fis.centers.size)
     for lo in range(0, len(X), step):
         Xb, fb = X[lo:lo + step], f[lo:lo + step]
-        yb, _, ok = _defuzzify(_firing(fis, Xb), fb)
+        yb, _, ok = _defuzzify(_firing(fis.centers, fis.widths, Xb), fb)
         if not ok.all():
             yb[~ok] = fb[~ok, kernels.assign_bmus(Xb[~ok], fis.centers)]
         out[lo:lo + step] = yb
     return out
 
 
-def _solve_consequents(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Least-squares consequents on the weight-normalized design, given the
-    firing strengths `w = _firing(fis, X)`. Rows with underflowed firing use
-    a one-hot weight on the nearest-center rule, the fallback of `predict`.
-    Minimum-norm solution when rank-deficient."""
-    n, d = X.shape
-    R = fis.n_rules
+def _stacked(fises) -> FuzzyRuleBase:
+    """The rule bases `fises`, of one shape, as one whose arrays carry a
+    leading member axis: centers and widths (k, R, d), coeffs (k, R, d + 1)."""
+    return FuzzyRuleBase(*(np.array([getattr(fis, name) for fis in fises])
+                           for name in ("centers", "widths", "coeffs")))
+
+
+class _Rows(NamedTuple):
+    """The rows of k stacked fits, concatenated in member order: inputs `X`
+    (n, d) and decisions `t` (n,). Member i owns rows `spans[i]`; `owner`
+    is each row's member and `scale` its member's 2 / (member rows)."""
+    X: np.ndarray
+    t: np.ndarray
+    spans: list[slice]
+    owner: np.ndarray
+    scale: np.ndarray
+
+
+def _spans(sizes) -> list[slice]:
+    """Consecutive slices of `sizes` rows each, from row 0."""
+    ends = np.cumsum(sizes).tolist()
+    return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+
+
+def _rows(granule_sets) -> _Rows:
+    """The `_Rows` of one fit per Dataset of `granule_sets`."""
+    sizes = np.array([len(granules) for granules in granule_sets])
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return _Rows(np.concatenate([granules.X for granules in granule_sets]),
+                 np.concatenate([granules.y for granules in granule_sets]),
+                 _spans(sizes), owner, (2.0 / sizes)[owner])
+
+
+def _solve_consequents(rows: _Rows, w: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Least-squares consequents, (k, R, d + 1), of each member of the
+    stack `rows` on the weight-normalized design, given the firing
+    strengths `w` and the (n, R, d) `centers` of each row's member. Rows
+    with underflowed firing use a one-hot weight on their member's
+    nearest-center rule, the fallback of `predict`. Minimum-norm solution
+    when rank-deficient. The design is built for all rows at once; each
+    member is its own `lstsq`, as LAPACK rounds per matrix."""
+    X = rows.X
+    (n, d), R = X.shape, w.shape[1]
     sw = w.sum(axis=1)
     ok = sw > 0
     # A row with zero total firing is all zeros, so dividing it by 1 keeps it so.
     wn = w / np.where(ok, sw, 1.0)[:, None]
     if not ok.all():
-        wn[np.nonzero(~ok)[0], kernels.assign_bmus(X[~ok], fis.centers)] = 1.0
+        fallback = np.flatnonzero(~ok)
+        # Each row among its own member's centers: the BMUs `assign_bmus` gives.
+        wn[fallback, kernels.assign_exact(X[fallback, None, :], centers[fallback])[:, 0]] = 1.0
     X1 = np.empty((n, d + 1))
     X1[:, :d] = X
     X1[:, d] = 1.0
     design = (wn[:, :, None] * X1[:, None, :]).reshape(n, R * (d + 1))
-    sol, *_ = np.linalg.lstsq(design, t, rcond=None)
-    return sol.reshape(R, d + 1)
+    coeffs = np.empty((len(rows.spans), R, d + 1))
+    for member, span in zip(coeffs, rows.spans):
+        member[...] = np.linalg.lstsq(design[span], rows.t[span], rcond=None)[0].reshape(R, d + 1)
+    return coeffs
 
 
-def _premise_gradients(fis: FuzzyRuleBase, X: np.ndarray, t: np.ndarray,
-                       w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of mean squared error w.r.t. centers and widths,
-    given the firing strengths `w = _firing(fis, X)`. Rows with underflowed
-    total firing contribute nothing."""
-    n = len(X)
-    f = _consequent_values(fis, X)
+def _premise_gradients(rows: _Rows, w: np.ndarray, centers: np.ndarray, widths: np.ndarray,
+                       coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradients of each member's mean squared error w.r.t. its
+    centers and widths, each (k, R, d), given the firing strengths `w`,
+    the (n, R, d) `centers` and `widths` of each row's member and the
+    members' (k, R, d + 1) `coeffs`. Rows with underflowed total firing
+    contribute nothing, and a member none of whose rows fires gets +0.0.
+
+    The terms are computed for all rows at once. What rounds per matrix
+    stays per member: the consequent product, and each gradient's sum over
+    the member's own rows, as `.sum(axis=0)` on its slice adds them."""
+    X, t, spans, owner, scale = rows
+    f = np.concatenate([X[span] @ member[:, :-1].T for span, member in zip(spans, coeffs)])
+    f += coeffs[owner, :, -1]
     y, sw, ok = _defuzzify(w, f)
-    if not ok.any():
-        return np.zeros_like(fis.centers), np.zeros_like(fis.widths)
     if not ok.all():
-        X, w, f, sw, y, t = X[ok], w[ok], f[ok], sw[ok], y[ok], t[ok]
+        X, t, w, f, y, sw, scale = X[ok], t[ok], w[ok], f[ok], y[ok], sw[ok], scale[ok]
+        centers, widths = centers[ok], widths[ok]
+        spans = _spans(np.bincount(owner[ok], minlength=len(spans)))
     r = y - t
-    # dE/dw_i = (2/n) * r * (f_i - y) / sw  (n = full sample count)
-    dE_dw = (2.0 / n) * r[:, None] * (f - y[:, None]) / sw[:, None]
-    diff = X[:, None, :] - fis.centers[None, :, :]
+    # dE/dw_i = (2/n) * r * (f_i - y) / sw
+    dE_dw = scale[:, None] * r[:, None] * (f - y[:, None]) / sw[:, None]
+    diff = X[:, None, :] - centers
     common = (dE_dw * w)[:, :, None]
-    gc = (common * diff / fis.widths[None, :, :] ** 2).sum(axis=0)
-    gs = (common * diff**2 / fis.widths[None, :, :] ** 3).sum(axis=0)
+    terms_c = common * diff / widths**2
+    terms_s = common * diff**2 / widths**3
+    gc = np.empty((len(spans),) + diff.shape[1:])
+    gs = np.empty_like(gc)
+    for member_c, member_s, span in zip(gc, gs, spans):
+        member_c[...] = terms_c[span].sum(axis=0)
+        member_s[...] = terms_s[span].sum(axis=0)
     return gc, gs
 
 
 def train_hybrid(fis: FuzzyRuleBase, granules: Dataset, params: NfisTrainParams) -> FuzzyRuleBase:
-    """Per epoch: exact least squares for the consequents, then one gradient
-    step on the premise centers and widths (widths re-floored at 0.01). Both
-    use the epoch's one set of firing strengths, since the consequents do
-    not enter them. Returns a new rule base; the input is untouched. An
-    overflowing or invalid operation, such as a premise step so large that
-    the next epoch's firing strengths overflow, raises FloatingPointError
-    rather than hand non-finite values to the least-squares solver."""
-    if len(granules) == 0:
+    """`train_hybrid_stack` of one rule base."""
+    (out,) = train_hybrid_stack([fis], [granules], params)
+    return out
+
+
+def train_hybrid_stack(fises, granule_sets, params: NfisTrainParams) -> list[FuzzyRuleBase]:
+    """Each rule base of `fises`, all of one shape, trained on its entry of
+    `granule_sets`; all in lock-step over their rows concatenated. Per
+    epoch: exact least squares for the consequents, then one gradient step
+    on the premise centers and widths (widths re-floored at 0.01). Both use
+    the epoch's one set of firing strengths, since the consequents do not
+    enter them. Member i equals, bit for bit, `train_hybrid(fises[i],
+    granule_sets[i], params)`, a stack of one. Returns new rule bases, each
+    owning its arrays; the inputs are untouched. An overflowing or invalid
+    operation in any member, such as a premise step so large that the next
+    epoch's firing strengths overflow, raises FloatingPointError rather
+    than hand non-finite values to the least-squares solver."""
+    if any(len(granules) == 0 for granules in granule_sets):
         raise ValueError("empty granule set")
-    X, t = granules.X, granules.y
-    out = FuzzyRuleBase(fis.centers.copy(), fis.widths.copy(), fis.coeffs.copy())
+    if not fises:
+        return []
+    rows = _rows(granule_sets)
+    stack = _stacked(fises)
     lr = params.premise_learning_rate
     with np.errstate(over="raise", invalid="raise"):
         for _ in range(params.epochs):
-            w = _firing(out, X)
-            out.coeffs = _solve_consequents(out, X, t, w)
-            gc, gs = _premise_gradients(out, X, t, w)
-            out.centers = out.centers - lr * gc
-            out.widths = np.maximum(out.widths - lr * gs, WIDTH_FLOOR_TRAIN)
-    return out
+            centers, widths = stack.centers[rows.owner], stack.widths[rows.owner]
+            w = _firing(centers, widths, rows.X)
+            stack.coeffs = _solve_consequents(rows, w, centers)
+            gc, gs = _premise_gradients(rows, w, centers, widths, stack.coeffs)
+            stack.centers = stack.centers - lr * gc
+            stack.widths = np.maximum(stack.widths - lr * gs, WIDTH_FLOOR_TRAIN)
+    return [FuzzyRuleBase(centers.copy(), widths.copy(), coeffs.copy())
+            for centers, widths, coeffs in zip(stack.centers, stack.widths, stack.coeffs)]
 
 
 def _rms(pred: np.ndarray, y: np.ndarray) -> float:

@@ -314,7 +314,10 @@ class TestCriterion7:
             def loss(f):
                 return float(np.mean((nfis.predict(f, X) - t) ** 2))
 
-            gc, gs = nfis._premise_gradients(fis, X, t, nfis._firing(fis, X))
+            rows, stack = nfis._rows([Dataset(X, t)]), nfis._stacked([fis])
+            centers, widths = stack.centers[rows.owner], stack.widths[rows.owner]
+            w = nfis._firing(centers, widths, X)
+            gc, gs = (g[0] for g in nfis._premise_gradients(rows, w, centers, widths, stack.coeffs))
             for analytic, attr in ((gc, "centers"), (gs, "widths")):
                 arr = getattr(fis, attr)
                 for idx in np.ndindex(arr.shape):

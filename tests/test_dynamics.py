@@ -542,6 +542,37 @@ class TestWorkers:
         assert messages[0] == messages[1]
         assert pool_starts == [1]
 
+    def test_an_overflowing_fit_raises_at_its_own_step(self, small_data, pool_starts, monkeypatch):
+        """Step 3's rule base starts with centers so far off that its first
+        firing strengths overflow. The segment's six steps train as one
+        stack (this process's group of three on 2 workers), which raises;
+        the steps then run again one at a time in this process, and step 3's
+        stack of one raises."""
+        cfg = LoopConfig(iterations=6, initial_N=40, seed=5, som=self.SOM)
+        step_of_seed = {derive_seed(cfg.seed, 1, t): t for t in range(1, 7)}
+        step_of_fis, stacks = {}, []
+        init, stack = nfis.init_rulebase, nfis.train_hybrid_stack
+
+        def far_at_3(granules, n_rules, seed):
+            fis = init(granules, n_rules, seed=seed)
+            if step_of_seed[seed] == 3:
+                fis.centers[:] = 1e308
+            step_of_fis[id(fis)] = step_of_seed[seed]
+            return fis
+
+        def recorded(fises, granule_sets, params):
+            stacks.append([step_of_fis[id(fis)] for fis in fises])
+            return stack(fises, granule_sets, params)
+
+        monkeypatch.setattr(nfis, "init_rulebase", far_at_3)
+        monkeypatch.setattr(nfis, "train_hybrid_stack", recorded)
+        for workers, segment in ((1, [1, 2, 3, 4, 5, 6]), (2, [1, 3, 5])):
+            stacks.clear()
+            with pytest.raises(FloatingPointError, match="overflow"):
+                run_sonfis(*small_data, cfg, NoiseParams(0.9, 0.001, 0.5), workers=workers)
+            assert stacks == [segment, [1], [2], [3]]
+        assert pool_starts == [1]
+
     def test_small_segments_stay_serial(self, small_data, monkeypatch):
         starts = []
         monkeypatch.setattr(dynamics, "fork_pool", lambda *args: starts.append(args))

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sonfis import kernels, nfis
 from sonfis.dataset import Dataset
@@ -12,12 +14,39 @@ from sonfis.nfis import (
     _firing,
     _kmeans,
     _premise_gradients,
+    _rows,
     _solve_consequents,
+    _stacked,
     init_rulebase,
     predict,
     rmse,
     train_hybrid,
+    train_hybrid_stack,
 )
+
+
+def firing(fis, X):
+    """`_firing` of one rule base on every row."""
+    return _firing(fis.centers, fis.widths, X)
+
+
+def stack_of_one(fis, X, t):
+    """The rows of a stack of one fit, and its centers and widths per row."""
+    rows, stack = _rows([Dataset(X, t)]), _stacked([fis])
+    return rows, stack.centers[rows.owner], stack.widths[rows.owner]
+
+
+def solve_one(fis, X, t, w):
+    """`_solve_consequents` of a stack of one."""
+    rows, centers, _ = stack_of_one(fis, X, t)
+    return _solve_consequents(rows, w, centers)[0]
+
+
+def gradients_one(fis, X, t, w):
+    """`_premise_gradients` of a stack of one."""
+    rows, centers, widths = stack_of_one(fis, X, t)
+    gc, gs = _premise_gradients(rows, w, centers, widths, fis.coeffs[None])
+    return gc[0], gs[0]
 
 
 def masked_premise_gradients(fis, X, t, w):
@@ -185,13 +214,13 @@ class TestInfer:
         fis = FuzzyRuleBase(np.array([[0.0, 0.0], [1.0, 1.0]]), np.full((2, 2), 1e-3),
                             np.array([[0.0, 0.0, -5.0], [0.0, 0.0, 5.0]]))
         X = np.array([[0.5, 0.5], [0.9, 0.8]])
-        assert _firing(fis, X).sum(axis=1).tolist() == [0.0, 0.0]
+        assert firing(fis, X).sum(axis=1).tolist() == [0.0, 0.0]
         assert predict(fis, X).tolist() == [-5.0, 5.0]
         # One-hot weights: row 0 fits rule 0 alone and row 1 rule 1 alone,
         # each by the minimum-norm solution t * [x, 1] / |[x, 1]|**2.
         t = np.array([3.0, 2.0])
         expected = [t[0] * np.array([0.5, 0.5, 1.0]) / 1.5, t[1] * np.array([0.9, 0.8, 1.0]) / 2.45]
-        assert np.allclose(_solve_consequents(fis, X, t, _firing(fis, X)), expected)
+        assert np.allclose(solve_one(fis, X, t, firing(fis, X)), expected)
 
     def test_output_is_convex_combination_of_consequents(self):
         rng = np.random.default_rng(0)
@@ -226,7 +255,7 @@ class TestPredictBlocks:
         rng = np.random.default_rng(n)
         fis = FuzzyRuleBase(rng.random((R, d)), rng.uniform(0.005, 0.1, (R, d)), rng.normal(0, 1, (R, d + 1)))
         X = fis.centers[rng.integers(0, R, n)] + rng.normal(0, 0.05, (n, d)) + rng.choice([0.0, 6.0], (n, 1))
-        fires = _firing(fis, X).sum(axis=1) > 0
+        fires = firing(fis, X).sum(axis=1) > 0
         assert fires.any() and not fires.all()
         monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
         rows = max(1, block // (R * d))
@@ -304,9 +333,7 @@ class TestTrainHybrid:
         fis = init_rulebase(gs, 3, seed=2)
         fis.coeffs = rng.normal(0, 1, fis.coeffs.shape)
         before = np.sqrt(np.mean((predict(fis, X) - y) ** 2))
-        from sonfis.nfis import _solve_consequents
-
-        fis.coeffs = _solve_consequents(fis, X, y, _firing(fis, X))
+        fis.coeffs = solve_one(fis, X, y, firing(fis, X))
         after = np.sqrt(np.mean((predict(fis, X) - y) ** 2))
         assert after <= before + 1e-12
 
@@ -323,6 +350,99 @@ class TestTrainHybrid:
         gs = Dataset(rng.random((30, 2)), rng.random(30))
         with pytest.raises(FloatingPointError, match="overflow"):
             train_hybrid(init_rulebase(gs, 2, seed=0), gs, NfisTrainParams(epochs=3, premise_learning_rate=1e308))
+
+
+def written_out_fit(fis, granules, params):
+    """`train_hybrid` of one rule base, its formula written out on its own
+    arrays: the reference each member of a stack must equal."""
+    X, t = granules.X, granules.y
+    (n, d), R = X.shape, fis.n_rules
+    centers, widths = fis.centers, fis.widths
+    X1 = np.column_stack([X, np.ones(n)])
+    lr = params.premise_learning_rate
+    with np.errstate(over="raise", invalid="raise"):
+        for _ in range(params.epochs):
+            z = (X[:, None, :] - centers[None, :, :]) / widths[None, :, :]
+            w = np.exp(-0.5 * (z**2).sum(axis=2))
+            sw = w.sum(axis=1)
+            ok = sw > 0
+            wn = w / np.where(ok, sw, 1.0)[:, None]
+            wn[np.flatnonzero(~ok), kernels.assign_bmus(X[~ok], centers)] = 1.0
+            design = (wn[:, :, None] * X1[:, None, :]).reshape(n, R * (d + 1))
+            coeffs = np.linalg.lstsq(design, t, rcond=None)[0].reshape(R, d + 1)
+            gc, gs = masked_premise_gradients(FuzzyRuleBase(centers, widths, coeffs), X, t, w)
+            centers = centers - lr * gc
+            widths = np.maximum(widths - lr * gs, 0.01)
+    return centers, widths, coeffs
+
+
+@st.composite
+def hybrid_stacks(draw):
+    """1 to 8 (rule base, granules) pairs of one R and d, each of 1 to 120
+    rows, often fewer than the R * (d + 1) consequent unknowns. A member may
+    have some or all of its rows far outside its narrow rules, so that
+    their total firing underflows; all-zero decisions, which the first
+    solve fits exactly (r = 0, so terms with a negative center offset are
+    -0.0); or centers at exactly 0.0. Consequents start at zero for the
+    exact fits and random otherwise."""
+    R, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = st.tuples(st.one_of(st.integers(1, 20), st.integers(1, 120)), st.sampled_from(["none", "some", "all"]),
+                      st.booleans(), st.booleans())
+    members = []
+    for n, underflow, exact, zero_centres in draw(st.lists(shape, min_size=1, max_size=8)):
+        X, t = rng.random((n, d)), rng.random(n)
+        centers, widths = rng.random((R, d)), rng.uniform(0.05, 0.6, (R, d))
+        coeffs = rng.normal(0, 1, (R, d + 1))
+        if underflow != "none":
+            X[rng.random(n) < 0.3 if underflow == "some" else slice(None)] += 40.0
+        if exact:
+            t, coeffs = np.zeros(n), np.zeros((R, d + 1))
+        if zero_centres:
+            centers[rng.random((R, d)) < 0.5] = 0.0
+        members.append((FuzzyRuleBase(centers, widths, coeffs), Dataset(X, t)))
+    return members
+
+
+class TestTrainHybridStack:
+    PARAMS = NfisTrainParams(epochs=3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hybrid_stacks())
+    def test_each_member_equals_its_own_fit(self, members):
+        fises, granule_sets = zip(*members)
+        before = [fis.to_dict() for fis in fises]
+        got = train_hybrid_stack(fises, granule_sets, self.PARAMS)
+        assert [fis.to_dict() for fis in fises] == before
+        for out, fis, granules in zip(got, fises, granule_sets):
+            centers, widths, coeffs = written_out_fit(fis, granules, self.PARAMS)
+            assert out.centers.tobytes() == centers.tobytes()
+            assert out.widths.tobytes() == widths.tobytes()
+            assert out.coeffs.tobytes() == coeffs.tobytes()
+            assert out.centers.base is None and out.widths.base is None and out.coeffs.base is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(hybrid_stacks())
+    def test_gradients_equal_each_members_masked_formula(self, members):
+        # Signed zeros included: `.sum(axis=0)` of the -0.0 terms of an
+        # exact fit is +0.0, while a reduction that starts from its first
+        # row, as np.add.reduceat does, keeps -0.0.
+        fises, granule_sets = zip(*members)
+        rows, stack = _rows(granule_sets), _stacked(fises)
+        centers, widths = stack.centers[rows.owner], stack.widths[rows.owner]
+        gc, gs = _premise_gradients(rows, _firing(centers, widths, rows.X), centers, widths, stack.coeffs)
+        for i, (fis, granules) in enumerate(members):
+            want_c, want_s = masked_premise_gradients(fis, granules.X, granules.y, firing(fis, granules.X))
+            assert gc[i].tobytes() == want_c.tobytes() and gs[i].tobytes() == want_s.tobytes()
+
+    def test_no_member(self):
+        assert train_hybrid_stack([], [], self.PARAMS) == []
+
+    def test_an_empty_member_is_rejected(self):
+        fis = FuzzyRuleBase(np.array([[0.0]]), np.array([[1.0]]), np.array([[0.0, 0.0]]))
+        granules = Dataset([[0.5]], [1.0])
+        with pytest.raises(ValueError, match="empty granule set"):
+            train_hybrid_stack([fis, fis], [granules, Dataset(np.empty((0, 1)), [])], self.PARAMS)
 
 
 class TestPremiseGradients:
@@ -357,7 +477,7 @@ class TestPremiseGradients:
                 rng.uniform(0.3, 1.0, (R, d)),
                 rng.normal(0, 1, (R, d + 1)),
             )
-            gc, gs = _premise_gradients(fis, X, t, _firing(fis, X))
+            gc, gs = gradients_one(fis, X, t, firing(fis, X))
             nc, ns = self.numerical(fis, X, t)
             scale = max(np.abs(nc).max(), np.abs(ns).max(), 1e-8)
             assert np.abs(gc - nc).max() / scale < 1e-5
@@ -371,13 +491,13 @@ class TestPremiseGradients:
         fis = FuzzyRuleBase(rng.random((2, 2)), np.full((2, 2), 0.05), rng.normal(0, 1, (2, 3)))
         X = np.vstack([fis.centers + 0.01, [[50.0, 50.0], [-40.0, 7.0]]])
         t = rng.random(4)
-        w = _firing(fis, X)
+        w = firing(fis, X)
         assert (w.sum(axis=1) > 0).tolist() == [True, True, False, False]
-        gc, gs = _premise_gradients(fis, X, t, w)
+        gc, gs = gradients_one(fis, X, t, w)
         want_c, want_s = masked_premise_gradients(fis, X, t, w)
         assert gc.tobytes() == want_c.tobytes() and gs.tobytes() == want_s.tobytes()
         assert np.abs(gc).max() > 0
-        gc, gs = _premise_gradients(fis, X[2:], t[2:], w[2:])
+        gc, gs = gradients_one(fis, X[2:], t[2:], w[2:])
         assert gc.shape == fis.centers.shape and gs.shape == fis.widths.shape
         assert not gc.any() and not gs.any()
 
@@ -391,7 +511,7 @@ class TestNoUnderflowPath:
         for n, R, d in ((1, 1, 1), (4, 2, 3), (7, 3, 2), (60, 2, 3), (250, 4, 3)):
             fis = FuzzyRuleBase(rng.random((R, d)), rng.uniform(0.2, 1.0, (R, d)), rng.normal(0, 1, (R, d + 1)))
             X, t = rng.random((n, d)), rng.random(n)
-            w = _firing(fis, X)
+            w = firing(fis, X)
             assert (w.sum(axis=1) > 0).all()
             yield fis, X, t, w
 
@@ -405,12 +525,12 @@ class TestNoUnderflowPath:
             X1 = np.column_stack([X, np.ones(n)])
             design = (wn[:, :, None] * X1[:, None, :]).reshape(n, R * (d + 1))
             expected = np.linalg.lstsq(design, t, rcond=None)[0].reshape(R, d + 1)
-            assert _solve_consequents(fis, X, t, w).tobytes() == expected.tobytes()
+            assert solve_one(fis, X, t, w).tobytes() == expected.tobytes()
 
     def test_premise_gradients_match_masked_formula(self):
         for fis, X, t, w in self.cases():
             gc, gs = masked_premise_gradients(fis, X, t, w)
-            got_c, got_s = _premise_gradients(fis, X, t, w)
+            got_c, got_s = gradients_one(fis, X, t, w)
             assert got_c.tobytes() == gc.tobytes()
             assert got_s.tobytes() == gs.tobytes()
 
