@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels, nfis, rst
 from .dataset import Dataset, check_field, check_fields, derive_seed
 from .nfis import NfisTrainParams
-from .pool import call, fork_pool, worker_count
+from .pool import deal, worker_count
 from .som import MAX_NEURONS, SomParams, extract_granules, grid_dims, train_som, train_som_stack  # noqa: F401
 
 # `train_som` is imported only so that `dynamics.train_som` still resolves:
@@ -177,33 +177,20 @@ POOL_MIN_WORK = 2**19
 
 def _pooled(plan, run_steps, workers: int, n_records: int) -> list:
     """`run_steps(plan)`, its steps dealt round-robin to k = min(`workers`,
-    len(plan)) groups `plan[i::k]` when pooling pays: this process runs
-    group 0, and a `pool.fork_pool` of k - 1 processes runs the rest. A
-    step's work is `n_records * N_t`, and a segment's N series is monotone
-    (`_segment`), so the groups' summed N_t differ by at most the largest
-    N_t. Serial when `workers` is 1, the plan has one step, its work is
-    below POOL_MIN_WORK or fork is unavailable. Each step's result depends
-    on its own (t, N_t) alone, so the results, put back in step order, are
-    those of the serial call.
-
-    The pool is shut down without waiting once its tasks are submitted, so
-    its own thread ends each worker when the last result is in, while this
-    process may still compute. The `with` exit then waits for nothing: when
-    a worker's group ends last, the worker and the pool's threads outlive
-    the call by the few ms of its exit."""
-    k = min(workers, len(plan))
-    pool = None
-    if k > 1 and n_records * sum(N for _, N in plan) >= POOL_MIN_WORK:
-        pool = fork_pool(k - 1, run_steps)
-    if pool is None:
+    len(plan)) groups `plan[i::k]` when pooling pays: `pool.deal` runs
+    group 0 in this process and the rest on k - 1 forked ones, which exit
+    while this process computes. A step's work is `n_records * N_t`, and a
+    segment's N series is monotone (`_segment`), so the groups' summed N_t
+    differ by at most the largest N_t. Serial when `workers` is 1, the plan
+    has one step, its work is below POOL_MIN_WORK or fork is unavailable.
+    Each step's result depends on its own (t, N_t) alone, so the results,
+    put back in step order, are those of the serial call."""
+    if n_records * sum(N for _, N in plan) < POOL_MIN_WORK:
         return run_steps(plan)
+    k = min(workers, len(plan))
     outs = [None] * len(plan)
-    with pool:
-        futures = [pool.submit(call, plan[i::k]) for i in range(1, k)]
-        pool.shutdown(wait=False)
-        outs[0::k] = run_steps(plan[0::k])
-        for i, future in enumerate(futures, start=1):
-            outs[i::k] = future.result()
+    for i, group in enumerate(deal(run_steps, [plan[i::k] for i in range(k)], k - 1)):
+        outs[i::k] = group
     return outs
 
 

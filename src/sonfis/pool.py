@@ -1,6 +1,7 @@
-"""Worker counts and forked process pools, shared by `sweep.run_sweep`
-(one task per sweep cell and repeat) and the loop in `dynamics` (one task
-per group of a certified-open segment's steps).
+"""Worker counts and the one fan-out to forked processes, `deal`, shared
+by `sweep.run_sweep` (round-robin groups of its cell-and-repeat tasks) and
+the loop in `dynamics` (round-robin groups of a certified-open segment's
+steps).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ def worker_count(workers: int | None) -> int:
     return check_field("workers", workers, int, 1)
 
 
-_task = None  # what `call` runs in a forked worker, set by `_init`
+_task = None  # what `_call` runs in a forked worker, set by `_init`
 
 
 def _init(task) -> None:
@@ -27,14 +28,14 @@ def _init(task) -> None:
     _task = task
 
 
-def call(*args):
+def _call(*args):
     """`task(*args)` in a worker of `fork_pool(workers, task)`."""
     return _task(*args)
 
 
 def fork_pool(workers: int, task):
     """A `ProcessPoolExecutor` of `workers` forked processes, in which
-    `pool.submit(call, *args)` runs `task(*args)`; None where fork is
+    `pool.submit(_call, *args)` runs `task(*args)`; None where fork is
     unavailable. The workers inherit `task` and all it refers to, rather
     than receive them pickled, so a closure or a lambda works; only the
     arguments and results are pickled. A fork pool starts every worker at
@@ -46,3 +47,22 @@ def fork_pool(workers: int, task):
     from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), initializer=_init,
                                initargs=(task,))
+
+
+def deal(fn, groups: list, forked: int) -> list:
+    """`[fn(g) for g in groups]`, in group order. A `fork_pool` of `forked`
+    processes computes the last `forked` groups and this process the rest;
+    one group, `forked` = 0 or a host without fork runs them all here.
+    When this process computes groups of its own, the pool is shut down
+    without waiting at its last submit, so its workers exit while this
+    process computes (one whose group ends last outlives the call by the
+    few ms of its exit); otherwise the pool is joined before the return."""
+    here = len(groups) - forked
+    pool = fork_pool(forked, fn) if len(groups) > 1 and forked else None
+    if pool is None:
+        return [fn(group) for group in groups]
+    with pool:
+        futures = [pool.submit(_call, group) for group in groups[here:]]
+        if here:
+            pool.shutdown(wait=False)
+        return [fn(group) for group in groups[:here]] + [future.result() for future in futures]

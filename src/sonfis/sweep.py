@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset, DatasetError, check_field, check_fields, derive_seed, field_error, read_csv
 from .dynamics import LoopConfig, NoiseParams, OrderMetrics, order_metrics, run_sonfis, run_sorst_as
-from .pool import call, fork_pool, worker_count
+from .pool import deal, worker_count
 
 # The sweep CSV's columns, in order, each with the type `load_csv_rows`
 # parses it back with: the cell key, then the repeat's order metrics.
@@ -99,21 +99,22 @@ def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
               keep_trajectories: bool = False, error_fn=None, workers: int | None = None) -> SweepResult:
     """Execute every grid cell x repeat. Per-cell failures are recorded in
     the cell, never raised: a cell keeps its repeats up to the first that
-    raised, and no later repeat of it runs. `error_fn` is the
-    constant-error stub hook passed down to the dynamics loop.
+    raised, and its error. `error_fn` is the constant-error stub hook
+    passed down to the dynamics loop.
 
-    Each (cell, repeat) is one task, seeded by `derive_seed(seed, cell
-    index, repeat)` alone, so the result is the same for any `workers`
-    (`pool.worker_count`; capped at the task count). With more than one
-    worker the tasks run in a `pool.fork_pool`, whose workers inherit the
-    inputs and `error_fn`, so a lambda stub works; at most two tasks per
-    worker are in flight; once the last is submitted the pool is shut down
-    without waiting, so its workers exit as soon as the last result is in.
-    Where fork is unavailable the tasks run in this process."""
+    Each (cell, repeat) is one task, numbered cell by cell and seeded by
+    `derive_seed(seed, cell index, repeat)` alone, so the result is the
+    same for any `workers` (`pool.worker_count`; capped at the task count).
+    The tasks are dealt round-robin to one group per worker, and with more
+    than one `pool.deal` runs every group on a forked worker, which
+    inherits the inputs and `error_fn`, so a lambda stub works; where fork
+    is unavailable the groups run in this process. A group skips the later
+    repeats of a cell once one of its own repeats of that cell raised, so
+    every repeat before a cell's first failure runs, and each group makes
+    at most one failing call per cell."""
     grid = spec.grid
-    workers = min(worker_count(workers), len(grid) * spec.repeats)
-    first_failed = [spec.repeats] * len(grid)  # repeat index; repeats when none failed
-    outputs: dict[tuple[int, int], tuple] = {}
+    tasks = range(len(grid) * spec.repeats)
+    k = min(worker_count(workers), len(tasks))
 
     def run_task(cell_index: int, rep: int):
         """One (cell, repeat): `(metrics, trajectory or None, None)`, or
@@ -131,46 +132,32 @@ def run_sweep(spec: SweepSpec, train: Dataset, test: Dataset,
         except Exception as exc:  # degenerate corners stay local to the cell
             return None, None, f"{type(exc).__name__}: {exc}"
 
-    def tasks():
-        for cell_index in range(len(grid)):
-            rep = 0
-            while rep < first_failed[cell_index]:  # re-read after every task
-                yield cell_index, rep
-                rep += 1
+    def run_tasks(group):
+        """Each task's output, None for a repeat skipped after its cell
+        failed in this group."""
+        outputs, failed = [], set()
+        for task in group:
+            cell_index, rep = divmod(task, spec.repeats)
+            output = None if cell_index in failed else run_task(cell_index, rep)
+            if output is not None and output[2] is not None:
+                failed.add(cell_index)
+            outputs.append(output)
+        return outputs
 
-    def record(cell_index: int, rep: int, output) -> None:
-        outputs[cell_index, rep] = output
-        if output[2] is not None:
-            first_failed[cell_index] = min(first_failed[cell_index], rep)
-
-    pool = fork_pool(workers, run_task) if workers > 1 else None
-    if pool is None:
-        for task in tasks():
-            record(*task, run_task(*task))
-    else:
-        from concurrent.futures import FIRST_COMPLETED, wait
-        with pool:
-            pending, todo = {}, tasks()
-            while True:
-                for task in todo:
-                    pending[pool.submit(call, *task)] = task
-                    if len(pending) >= 2 * workers:
-                        break
-                else:  # every task is submitted
-                    pool.shutdown(wait=False)
-                if not pending:
-                    break
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    record(*pending.pop(future), future.result())
+    outputs = [None] * len(tasks)
+    for i, group in enumerate(deal(run_tasks, [tasks[i::k] for i in range(k)], k)):
+        outputs[i::k] = group
 
     cells: list[CellResult] = []
     for cell_index, (alpha, beta, gamma, extra) in enumerate(grid):
-        runs = [outputs[cell_index, rep] for rep in range(first_failed[cell_index])]
-        failed = first_failed[cell_index] < spec.repeats
-        error = outputs[cell_index, first_failed[cell_index]][2] if failed else None
-        trajs = [traj for _, traj, _ in runs] if keep_trajectories else None
-        cells.append(CellResult(alpha, beta, gamma, extra, [m for m, _, _ in runs], error, trajs))
+        metrics, trajs, error = [], [], None
+        for m, traj, error in outputs[cell_index * spec.repeats:(cell_index + 1) * spec.repeats]:
+            if error is not None:
+                break
+            metrics.append(m)
+            trajs.append(traj)
+        cells.append(CellResult(alpha, beta, gamma, extra, metrics, error,
+                                trajs if keep_trajectories else None))
     return SweepResult(cells)
 
 

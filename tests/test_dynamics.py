@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sonfis import dynamics, kernels, nfis, rst
+from sonfis import dynamics, kernels, nfis, pool, rst
 from sonfis.dataset import Dataset, SplitSpec, derive_seed, gen_synthetic, min_max_normalize, split
 from sonfis.dynamics import (
     LoopConfig,
@@ -481,14 +481,14 @@ def pool_starts(monkeypatch):
     """Forces the step pool on any segment of two or more steps, and counts
     the pools the loop starts."""
     starts = []
-    fork_pool = dynamics.fork_pool
+    fork_pool = pool.fork_pool
 
     def counted(workers, task):
         starts.append(workers)
         return fork_pool(workers, task)
 
     monkeypatch.setattr(dynamics, "POOL_MIN_WORK", 0)
-    monkeypatch.setattr(dynamics, "fork_pool", counted)
+    monkeypatch.setattr(pool, "fork_pool", counted)
     return starts
 
 
@@ -575,7 +575,7 @@ class TestWorkers:
 
     def test_small_segments_stay_serial(self, small_data, monkeypatch):
         starts = []
-        monkeypatch.setattr(dynamics, "fork_pool", lambda *args: starts.append(args))
+        monkeypatch.setattr(pool, "fork_pool", lambda *args: starts.append(args))
         cfg = LoopConfig(iterations=6, initial_N=40, seed=5, som=self.SOM)
         run_sonfis(*small_data, cfg, NoiseParams(0.9, 0.001, 0.5), workers=2)
         assert 100 * 40 * 6 < dynamics.POOL_MIN_WORK and starts == []

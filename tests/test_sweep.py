@@ -1,4 +1,5 @@
 import multiprocessing
+import threading
 import time
 
 import numpy as np
@@ -116,9 +117,9 @@ class TestWorkers:
         assert [cell.error for cell in result.cells] == ["RuntimeError: repeat 1 failed", None]
 
     def test_failing_cells_submit_no_further_repeats(self, tiny_data):
-        # A million repeats per cell: only the repeats already in flight
-        # when a cell's first failure arrives may run, at most two per
-        # worker. The counter lives in memory the forked workers share.
+        # A million repeats per cell: each worker stops a cell at its own
+        # first failure of it, so it makes at most one failing call per
+        # cell. The counter lives in memory the forked workers share.
         calls = multiprocessing.get_context("fork").Value("l", 0)
 
         def explode(t, granules):
@@ -131,9 +132,14 @@ class TestWorkers:
         start = time.perf_counter()
         pooled = run_sweep(spec, train, test, error_fn=explode, workers=2)
         assert time.perf_counter() - start < 30
-        assert calls.value <= len(spec.grid) * 2 * 2
+        assert calls.value <= len(spec.grid) * 2
         assert pooled == run_sweep(spec, train, test, error_fn=explode, workers=1)
         assert [(len(cell.metrics), cell.error) for cell in pooled.cells] == [(0, "RuntimeError: boom")] * 3
+
+    def test_a_pooled_sweep_leaves_nothing(self, tiny_data, settled):
+        run_sweep(stub_spec(repeats=2), *tiny_data, error_fn=lambda t, g: 10.0, workers=2)
+        assert threading.active_count() == 1
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("system", ["sonfis", "sorst"])
     def test_tasks_run_their_loops_on_one_worker(self, tiny_data, monkeypatch, system):
