@@ -251,20 +251,24 @@ def test_extreme_magnitudes(impl, exact_rows, scale, whole):
     assert (exact_rows == [50]) if whole else sum(exact_rows) < 50
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["data", "protos"])
-@KERNELS
-def test_non_finite_input(impl, exact_rows, bad, where):
-    """NaN and inf go to the sequential loop whole, which keeps its argmin
-    of NaN distances (the first NaN)."""
+def assert_non_finite_goes_whole(impl, exact_rows, bad, where, m):
     rng = np.random.default_rng(7)
-    arrs = {"data": rng.random((40, 3)), "protos": rng.random((60, 3))}
+    arrs = {"data": rng.random((40, 3)), "protos": rng.random((m, 3))}
     arrs[where][5, 1] = bad
     with np.errstate(invalid="ignore"):
         want = EXACT(arrs["data"], arrs["protos"])
         got = impl.assign_bmus(arrs["data"], arrs["protos"])
     assert np.array_equal(got, want)
     assert exact_rows == [40]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["data", "protos"])
+@KERNELS
+def test_non_finite_input(impl, exact_rows, bad, where):
+    """NaN and inf go to the sequential loop whole, which keeps its argmin
+    of NaN distances (the first NaN)."""
+    assert_non_finite_goes_whole(impl, exact_rows, bad, where, 60)
 
 
 @KERNELS
@@ -279,13 +283,13 @@ def test_prefilter_empty_data_and_one_prototype(impl):
 
 
 @st.composite
-def assign_inputs(draw):
+def assign_inputs(draw, min_protos=1, max_protos=12):
     """Data and prototypes of one width, from a few shared values (exact
     ties and duplicates), moderate floats, or any float at all."""
     d = draw(st.integers(1, 6))
     elements = st.one_of(st.sampled_from([0.0, 0.5, -1.0, 1.0, 3.0]), st.floats(-1e3, 1e3), st.floats())
     data = draw(arrays(np.float64, (draw(st.integers(0, 12)), d), elements=elements))
-    protos = draw(arrays(np.float64, (draw(st.integers(1, 12)), d), elements=elements))
+    protos = draw(arrays(np.float64, (draw(st.integers(min_protos, max_protos)), d), elements=elements))
     return data, protos
 
 
@@ -297,19 +301,140 @@ def test_prefilter_property(inputs):
         assert np.array_equal(kernels._assign_prefiltered(data, protos), EXACT(data, protos))
 
 
+# From LONG_ROWS prototypes on, the prefilter ranks in float32 under a
+# margin derived in float32. Each case must still equal the sequential loop.
+
+def float32_scores(data, protos):
+    """The prefilter's float32 product, in one block."""
+    lhs = np.hstack([data, np.ones((len(data), 1))]).astype(np.float32)
+    rhs = np.vstack([-2.0 * protos.T, np.einsum("ij,ij->i", protos, protos)]).astype(np.float32)
+    return lhs @ rhs
+
+
+@KERNELS
+def test_near_ties_the_float32_product_misranks(impl):
+    """`test_near_ties_the_product_misranks` at float32's scale: pairs
+    2**-20 to 2**-24 apart, relative, among LONG_ROWS prototypes. The float32
+    product alone picks the other one of a pair on thousands of rows; the
+    prefilter never does."""
+    misranked = 0
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for e in (20, 21, 22, 23, 24):
+            data = rng.random((1000, 3)) * 4.0 - 2.0
+            base = rng.random((impl.LONG_ROWS // 2, 3)) * 4.0 - 2.0
+            protos = np.concatenate([base, base * (1.0 + rng.choice([-1.0, 1.0], base.shape) * 2.0**-e)])
+            want = EXACT(data, protos)
+            misranked += np.count_nonzero(float32_scores(data, protos).argmin(axis=1) != want)
+            assert np.array_equal(impl._assign_prefiltered(data, protos), want)
+    assert misranked > 1000
+
+
+def float32_margin_row(impl):
+    """A height h and the threshold fl(0.25 + tau) under the float32 tau of
+    the row (0, 0, h) against a largest squared prototype norm of 9, with h
+    chosen so that the threshold is a float32 value. Float32's ulp at 0.25
+    is 2**-25, so any tau that is a multiple of it will do; h makes
+    S = (h + 3)**2 give one."""
+    u = 2.0**-24
+    scale = 4.0 * (13 * u / (1.0 - 13 * u))  # tau / S at d = 3
+    for k in range(int(scale * 9.0 / 2.0**-25) + 1, 2**20):
+        tau = k * 2.0**-25
+        h = np.sqrt(tau / scale) - 3.0
+        if impl._tie_margin(np.array([h * h]), 9.0, 3, np.float32)[0] == tau:
+            return h, 0.25 + tau
+    raise AssertionError("no row height gives a float32 threshold")
+
+
+@KERNELS
+def test_float32_runner_up_at_the_margin_is_recomputed(impl, exact_rows):
+    """`test_runner_up_at_the_margin_is_recomputed` under the float32 tau.
+    Every prototype has a zero third coordinate, so the row (0, 0, h) scores
+    each by exactly its squared norm rounded to float32. The runner-up
+    planted at exactly fl(best + tau) is a candidate, and one float32 ulp
+    beyond it is not."""
+    h, bound = float32_margin_row(impl)
+    assert float(np.float32(bound)) == bound
+    far = np.tile([-3.0, 0.0, 0.0], (impl.LONG_ROWS, 1))
+    for score, recomputed in ((bound, [1]), (float(np.nextafter(np.float32(bound), np.float32(1))), [])):
+        protos = np.concatenate([[[0.5, 0.0, 0.0], [0.5, np.sqrt(score - 0.25), 0.0]], far])
+        assert np.float32(np.einsum("ij,ij->i", protos, protos)[1]) == score
+        exact_rows.clear()
+        assert impl._assign_prefiltered(np.array([[0.0, 0.0, h]]), protos)[0] == 0
+        assert exact_rows == recomputed
+
+
+@pytest.mark.parametrize("where, value, whole", [
+    ("data", [2.0**62, 0.0, 0.0], False), ("data", [-(2.0**62), 2.0**40, 0.0], True),
+    ("data", [2.0**-62, 0.5, 0.5], False), ("data", [np.nextafter(2.0**-62, 0.0), 0.5, 0.5], True),
+    ("protos", [-(2.0**-62), 0.5, 0.5], False), ("protos", [np.nextafter(2.0**-62, 0.0), 0.5, 0.5], True)],
+    ids=["norm-at-limit", "norm-above", "value-at-limit", "value-below", "proto-at-limit", "proto-below"])
+@KERNELS
+def test_float32_range_limits(impl, exact_rows, where, value, whole):
+    """With LONG_ROWS prototypes, a squared row norm just above 2**124 or a
+    nonzero magnitude just below 2**-62 sends the whole input to the
+    sequential loop; at the limits themselves the product is kept. One
+    prototype fewer ranks in float64, whose limits keep the product on all
+    of these."""
+    rng = np.random.default_rng(12)
+    arrs = {"data": rng.random((50, 3)), "protos": rng.random((impl.LONG_ROWS, 3))}
+    arrs[where][5] = value
+    want = EXACT(arrs["data"], arrs["protos"])
+    assert np.array_equal(impl.assign_bmus(arrs["data"], arrs["protos"]), want)
+    assert (exact_rows == [50]) if whole else sum(exact_rows) < 50
+    exact_rows.clear()
+    protos = arrs["protos"][:-1]
+    assert np.array_equal(impl.assign_bmus(arrs["data"], protos), EXACT(arrs["data"], protos))
+    assert sum(exact_rows) < 50
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["data", "protos"])
+@KERNELS
+def test_non_finite_input_in_float32(impl, exact_rows, bad, where):
+    assert_non_finite_goes_whole(impl, exact_rows, bad, where, impl.LONG_ROWS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(assign_inputs(kernels.LONG_ROWS, kernels.LONG_ROWS + 64))
+def test_float32_prefilter_property(inputs):
+    data, protos = inputs
+    with np.errstate(all="ignore"):
+        assert np.array_equal(kernels._assign_prefiltered(data, protos), EXACT(data, protos))
+
+
 def test_dispatch_by_prototype_size(monkeypatch, exact_rows):
     """The sonfis-large shape (4500 records, a 20 x 20 grid, 3 attributes)
-    takes the prefilter and recomputes no row; a 2 x 2 SOM on 600 records
+    takes the prefilter in float32 and recomputes exactly the rows whose
+    float32 runner-up lies within tau; at 200 prototypes it takes the
+    prefilter in float64 and recomputes no row; a 2 x 2 SOM on 600 records
     takes the sequential loop."""
     calls = []
     prefiltered = kernels._assign_prefiltered
     monkeypatch.setattr(kernels, "_assign_prefiltered", lambda *a: calls.append(a) or prefiltered(*a))
     rng = np.random.default_rng(9)
     data, protos = rng.random((4500, 3)), rng.random((400, 3))
-    assert np.array_equal(kernels.assign_bmus(data, protos), EXACT(data, protos))
+    assert np.array_equal(kernels.assign_bmus(data, protos[:200]), EXACT(data, protos[:200]))
     assert len(calls) == 1 and exact_rows == []
+
+    recomputed = []
+    counted = kernels.assign_exact
+    monkeypatch.setattr(kernels, "assign_exact", lambda rows, p: recomputed.append(rows) or counted(rows, p))
+    assert np.array_equal(kernels.assign_bmus(data, protos), EXACT(data, protos))
+    assert len(calls) == 2
+    # The float32 scores in the prefilter's row blocks: the product's
+    # rounding may depend on the block's shape (one row goes through gemv).
+    step = 2 * kernels.BLOCK_ELEMENTS // 400
+    scores = np.concatenate([float32_scores(data[lo:lo + step], protos) for lo in range(0, 4500, step)])
+    best, second = np.sort(scores, axis=1)[:, :2].astype(np.float64).T
+    u = 2.0**-24
+    tau = 4.0 * (13 * u / (1.0 - 13 * u)) * (np.linalg.norm(data, axis=1) + np.linalg.norm(protos, axis=1).max()) ** 2
+    near = np.flatnonzero(second <= best + tau)
+    assert 0 < near.size < 45
+    assert len(recomputed) == 1 and recomputed[0].tobytes() == data[near].tobytes()
+
     kernels.assign_bmus(data[:600], protos[:4])
-    assert len(calls) == 1 and exact_rows == [600]
+    assert len(calls) == 2 and exact_rows[-1] == 600
 
 
 @st.composite
@@ -385,6 +510,18 @@ class TestExactBlocks:
         assert np.array_equal(kernels.assign_exact(data[0], protos[0]), whole[0])
         for member in range(4):
             assert np.array_equal(whole[member], ref_assign(data[member], protos[member]))
+
+    def test_2d_data_against_a_stack_across_blocks(self):
+        # Records shared by a stack of four 30-prototype searches: 600 rows
+        # fit in one block, 3000 take two.
+        rng = np.random.default_rng(7)
+        protos = rng.random((4, 30, 3))
+        for n in (600, 3000):
+            data = rng.random((n, 3))
+            got = kernels.assign_exact(data, protos)
+            assert got.shape == (4, n)
+            for member in range(4):
+                assert got[member].tobytes() == kernels.assign_exact(data, protos[member]).tobytes()
 
     def test_exact_search_memory_is_bounded(self):
         # One pass holds two (n, m) float64 matrices, about 54 MiB here.
