@@ -159,10 +159,12 @@ def _segment(t: int, N: int, cfg: LoopConfig, p: NoiseParams, extra_of, e_max: f
 
 
 # Segment work, `len(train) * sum(N_t)` over its steps, from which the
-# loop runs a segment on forked workers. A 2-worker fork pool costs about
-# 6 ms (a pooled segment of two trivial steps, in a process holding
-# sonfis-large's inputs: 5.9-6.5 ms, median of 40), so pooling pays once
-# a serial segment takes about 25 ms.
+# loop runs a segment on forked workers. Forking one group costs about
+# 3.4 ms (a pooled segment of two trivial steps, in a process holding
+# sonfis-large's inputs: 3.1-3.7 ms, medians of 40 calls in 5 processes
+# on 2 vCPUs). The threshold was set from the pairs below when a pool
+# cost about 6 ms; at the lower cost smaller segments may gain too,
+# unmeasured as yet.
 # Measured with one BLAS thread on 2 vCPUs, fastest of 15 alternating
 # rounds, serial / pooled ms ("break_even" in `BENCH_step_pool.json`; the
 # SONFIS rows again with stacked fuzzy fits in `BENCH_nfis_stacks.json`):
@@ -178,11 +180,11 @@ POOL_MIN_WORK = 2**19
 def _pooled(plan, run_steps, workers: int, n_records: int) -> list:
     """`run_steps(plan)`, its steps dealt round-robin to k = min(`workers`,
     len(plan)) groups `plan[i::k]` when pooling pays: `pool.deal` runs
-    group 0 in this process and the rest on k - 1 forked ones, which exit
-    while this process computes. A step's work is `n_records * N_t`, and a
-    segment's N series is monotone (`_segment`), so the groups' summed N_t
-    differ by at most the largest N_t. Serial when `workers` is 1, the plan
-    has one step, its work is below POOL_MIN_WORK or fork is unavailable.
+    group 0 in this process and the rest on k - 1 forked ones. A step's
+    work is `n_records * N_t`, and a segment's N series is monotone
+    (`_segment`), so the groups' summed N_t differ by at most the largest
+    N_t. Serial when `workers` is 1, the plan has one step, its work is
+    below POOL_MIN_WORK or fork is unavailable.
     Each step's result depends on its own (t, N_t) alone, so the results,
     put back in step order, are those of the serial call."""
     if n_records * sum(N for _, N in plan) < POOL_MIN_WORK:
@@ -217,12 +219,13 @@ def _run_loop(train: Dataset, test: Dataset, cfg: LoopConfig, p: NoiseParams,
     record their points and apply the law in order. On more than one of
     `workers` (`pool.worker_count`) a large segment's steps are dealt
     among forked processes (`_pooled`); each trains its steps' SOMs and
-    fits them, and the points are the same for any `workers`. When
-    a segment of several steps raises, a broken pool included, its steps run
-    again one at a time in this process, so the exception the step-by-step
-    loop meets escapes at its own step; the steps are certified open, so
-    their N_t are the plan's. `error_fn` may return any value, so with it
-    every segment is one step, in this process."""
+    fits them, and the points are the same for any `workers`. When a
+    segment of several steps raises, a forked group that ends without a
+    result included, its steps run again one at a time in this process,
+    so the exception the step-by-step loop meets escapes at its own step;
+    the steps are certified open, so their N_t are the plan's. `error_fn`
+    may return any value, so with it every segment is one step, in this
+    process."""
     workers = worker_count(workers)
     if error_fn is not None:
         bound = None

@@ -7,8 +7,11 @@ steps).
 from __future__ import annotations
 
 import os
+import pickle
 
 from .dataset import check_field
+
+_fork = getattr(os, "fork", None)  # None where the platform cannot fork
 
 
 def worker_count(workers: int | None) -> int:
@@ -20,49 +23,79 @@ def worker_count(workers: int | None) -> int:
     return check_field("workers", workers, int, 1)
 
 
-_task = None  # what `_call` runs in a forked worker, set by `_init`
+def _outcome(fn, group) -> bytes:
+    """`fn(group)` pickled as `(True, result)`, or what it raised as
+    `(False, error)`. An error that does not survive pickling travels as a
+    RuntimeError naming its type."""
+    try:
+        return pickle.dumps((True, fn(group)), pickle.HIGHEST_PROTOCOL)
+    except BaseException as exc:  # the caller re-raises it
+        try:
+            blob = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            pickle.loads(blob)  # an error may pickle and still not unpickle
+            return blob
+        except Exception:
+            return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")), pickle.HIGHEST_PROTOCOL)
 
 
-def _init(task) -> None:
-    global _task
-    _task = task
+def _start(fn, group):
+    """A forked process computing `fn(group)`: its pid, and the read end of
+    the pipe that carries its `_outcome` and then EOF."""
+    r, w = os.pipe()
+    try:
+        pid = _fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # the child never returns into the caller's stack
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pipe.write(_outcome(fn, group))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
 
 
-def _call(*args):
-    """`task(*args)` in a worker of `fork_pool(workers, task)`."""
-    return _task(*args)
-
-
-def fork_pool(workers: int, task):
-    """A `ProcessPoolExecutor` of `workers` forked processes, in which
-    `pool.submit(_call, *args)` runs `task(*args)`; None where fork is
-    unavailable. The workers inherit `task` and all it refers to, rather
-    than receive them pickled, so a closure or a lambda works; only the
-    arguments and results are pickled. A fork pool starts every worker at
-    its first submit, before it starts its own thread. `concurrent.futures`
-    is imported here, so that importing sonfis does not load it."""
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), initializer=_init,
-                               initargs=(task,))
+def _result(pipe):
+    """The value a child's pipe carries, read to EOF, or its error raised."""
+    with pipe:
+        blob = pipe.read()
+    if not blob:
+        raise RuntimeError("a forked group ended without a result")
+    ok, value = pickle.loads(blob)
+    if not ok:
+        raise value
+    return value
 
 
 def deal(fn, groups: list, forked: int) -> list:
-    """`[fn(g) for g in groups]`, in group order. A `fork_pool` of `forked`
-    processes computes the last `forked` groups and this process the rest;
-    one group, `forked` = 0 or a host without fork runs them all here.
-    When this process computes groups of its own, the pool is shut down
-    without waiting at its last submit, so its workers exit while this
-    process computes (one whose group ends last outlives the call by the
-    few ms of its exit); otherwise the pool is joined before the return."""
+    """`[fn(g) for g in groups]`, in group order. `forked` processes, one
+    per group, compute the last `forked` groups and this process the rest;
+    one group, `forked` = 0 or a host without fork runs them all here. The
+    children inherit `fn` and all it refers to, so a closure or a lambda
+    works; only results and errors are pickled, each through its own pipe.
+    This process computes its groups, then reads the pipes in group order;
+    a child's error, or a child that ends without a result, raises here.
+    Every child is reaped before `deal` returns or raises, also when a
+    group of this process raises: the pipes not yet read are then closed,
+    so each child left exits once its group is done, its result dropped."""
     here = len(groups) - forked
-    pool = fork_pool(forked, fn) if len(groups) > 1 and forked else None
-    if pool is None:
+    if len(groups) < 2 or not forked or _fork is None:
         return [fn(group) for group in groups]
-    with pool:
-        futures = [pool.submit(_call, group) for group in groups[here:]]
-        if here:
-            pool.shutdown(wait=False)
-        return [fn(group) for group in groups[:here]] + [future.result() for future in futures]
+    children = []
+    try:
+        for group in groups[here:]:
+            children.append(_start(fn, group))
+        return [fn(group) for group in groups[:here]] + [_result(pipe) for _, pipe in children]
+    finally:
+        # Every pipe closes before any wait: a later child also holds the
+        # read ends of earlier pipes, and blocks on its own full pipe.
+        for _, pipe in children:
+            pipe.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)

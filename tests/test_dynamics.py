@@ -479,16 +479,17 @@ class TestSonfisBound:
 @pytest.fixture
 def pool_starts(monkeypatch):
     """Forces the step pool on any segment of two or more steps, and counts
-    the pools the loop starts."""
+    the processes the loop forks, one entry of 1 each: on 2 workers, one
+    per pooled segment."""
     starts = []
-    fork_pool = pool.fork_pool
+    fork = pool._fork
 
-    def counted(workers, task):
-        starts.append(workers)
-        return fork_pool(workers, task)
+    def counted():
+        starts.append(1)
+        return fork()
 
     monkeypatch.setattr(dynamics, "POOL_MIN_WORK", 0)
-    monkeypatch.setattr(pool, "fork_pool", counted)
+    monkeypatch.setattr(pool, "_fork", counted)
     return starts
 
 
@@ -575,7 +576,7 @@ class TestWorkers:
 
     def test_small_segments_stay_serial(self, small_data, monkeypatch):
         starts = []
-        monkeypatch.setattr(pool, "fork_pool", lambda *args: starts.append(args))
+        monkeypatch.setattr(pool, "_fork", lambda: starts.append(()))
         cfg = LoopConfig(iterations=6, initial_N=40, seed=5, som=self.SOM)
         run_sonfis(*small_data, cfg, NoiseParams(0.9, 0.001, 0.5), workers=2)
         assert 100 * 40 * 6 < dynamics.POOL_MIN_WORK and starts == []

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import threading
 import time
 
@@ -136,10 +137,12 @@ class TestWorkers:
         assert pooled == run_sweep(spec, train, test, error_fn=explode, workers=1)
         assert [(len(cell.metrics), cell.error) for cell in pooled.cells] == [(0, "RuntimeError: boom")] * 3
 
-    def test_a_pooled_sweep_leaves_nothing(self, tiny_data, settled):
+    def test_a_pooled_sweep_leaves_nothing(self, tiny_data):
         run_sweep(stub_spec(repeats=2), *tiny_data, error_fn=lambda t, g: 10.0, workers=2)
         assert threading.active_count() == 1
         assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("system", ["sonfis", "sorst"])
     def test_tasks_run_their_loops_on_one_worker(self, tiny_data, monkeypatch, system):
